@@ -10,20 +10,20 @@ partial file behind.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-import tempfile
 
 from .distribution import BINNINGS, distribution_csv_bytes, read_distribution_csv
-from .divergence import METRICS, evaluate
-from .errors import HetquantError, ParameterError
-from .measure import MeasureConfig, measure
+from .divergence import LOG_BASES, METRICS, evaluate
+from .errors import HetquantError
+from .measure import VARIANTS, MeasureConfig, measure
 from .series import (
+    SPACINGS,
     SegmentedGeneratorConfig,
     format_float,
     generate_segmented,
     read_csv,
     series_csv_bytes,
+    write_bytes,
 )
 from .sweep import SweepConfig, run_sweep
 
@@ -51,35 +51,19 @@ def _int_list(text: str) -> tuple[int, ...]:
     return values
 
 
-def _write_atomic(path: str, data: bytes) -> None:
-    """Write ``data`` to ``path`` via a same-directory temporary and rename."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".hetquant-")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
 def _add_binning_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--binning",
         choices=BINNINGS,
-        default="log",
+        default=MeasureConfig.binning,
         help="histogram scale: log bins ln(variance) no narrower than the window's noise, linear splits [0, max]",
     )
 
 
 def _add_generator_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--sigma-min", type=float, default=0.25, help="smallest segment standard deviation")
-    parser.add_argument("--sigma-max", type=float, default=8.0, help="largest segment standard deviation")
-    parser.add_argument("--spacing", choices=("linear", "logarithmic"), default="linear", help="sigma grid spacing")
+    parser.add_argument("--sigma-min", type=float, default=SegmentedGeneratorConfig.sigma_min, help="smallest segment standard deviation")
+    parser.add_argument("--sigma-max", type=float, default=SegmentedGeneratorConfig.sigma_max, help="largest segment standard deviation")
+    parser.add_argument("--spacing", choices=SPACINGS, default=SegmentedGeneratorConfig.spacing, help="sigma grid spacing")
     parser.add_argument("--shuffle", action="store_true", help="permute segment order with the seeded RNG")
 
 
@@ -97,9 +81,9 @@ def _build_parser() -> _Parser:
         formatter_class=fmt,
     )
     gen.add_argument("--samples", type=int, required=True, help="total number of samples")
-    gen.add_argument("--num-sigmas", type=int, default=1, help="number of variance segments k")
+    gen.add_argument("--num-sigmas", type=int, default=SegmentedGeneratorConfig.num_sigmas, help="number of variance segments k")
     _add_generator_flags(gen)
-    gen.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
+    gen.add_argument("--seed", type=int, default=SegmentedGeneratorConfig.seed, help="64-bit RNG seed")
     gen.add_argument("--out", required=True, help="output series CSV path")
 
     ana = sub.add_parser(
@@ -108,14 +92,9 @@ def _build_parser() -> _Parser:
         formatter_class=fmt,
     )
     ana.add_argument("--input", required=True, help="input series CSV path")
-    ana.add_argument("--window", type=int, default=128, help="sliding window width w")
-    ana.add_argument("--bins", type=int, default=64, help="histogram bin count B")
-    ana.add_argument(
-        "--variant",
-        choices=("bhattacharyya", "hellinger"),
-        default="bhattacharyya",
-        help="score variant",
-    )
+    ana.add_argument("--window", type=int, default=MeasureConfig.window, help="sliding window width w")
+    ana.add_argument("--bins", type=int, default=MeasureConfig.bins, help="histogram bin count B")
+    ana.add_argument("--variant", choices=VARIANTS, default=MeasureConfig.variant, help="score variant")
     _add_binning_flag(ana)
     ana.add_argument(
         "--emit-distribution",
@@ -132,19 +111,19 @@ def _build_parser() -> _Parser:
     div.add_argument("--q", help="second distribution CSV; omit for entropy metrics")
     div.add_argument("--metric", required=True, choices=sorted(METRICS), help="metric name")
     div.add_argument("--alpha", type=float, help="order parameter for renyi, tsallis, renyi_entropy")
-    div.add_argument("--log-base", choices=("natural", "base2"), default="natural", help="logarithm base for kl, renyi, and entropies")
+    div.add_argument("--log-base", choices=LOG_BASES, default="natural", help="logarithm base for kl, renyi, and entropies")
 
     swp = sub.add_parser(
         "sweep",
         help="run the (k, window, seed) grid and write k,window,seed,metric,score CSV",
         formatter_class=fmt,
     )
-    swp.add_argument("--sigma-counts", type=_int_list, default=(1, 2, 4, 8, 16, 32, 64), help="comma-separated k values")
-    swp.add_argument("--windows", type=_int_list, default=(32, 64, 128, 256), help="comma-separated window widths")
-    swp.add_argument("--bins", type=int, default=64, help="histogram bin count B")
+    swp.add_argument("--sigma-counts", type=_int_list, default=SweepConfig.sigma_counts, help="comma-separated k values")
+    swp.add_argument("--windows", type=_int_list, default=SweepConfig.windows, help="comma-separated window widths")
+    swp.add_argument("--bins", type=int, default=SweepConfig.bins, help="histogram bin count B")
     _add_binning_flag(swp)
-    swp.add_argument("--samples", type=int, default=65536, help="samples per generated series")
-    swp.add_argument("--seeds", type=_int_list, default=tuple(range(1, 21)), help="comma-separated RNG seeds")
+    swp.add_argument("--samples", type=int, default=SweepConfig.total_samples, help="samples per generated series")
+    swp.add_argument("--seeds", type=_int_list, default=SweepConfig.seeds, help="comma-separated RNG seeds")
     _add_generator_flags(swp)
     swp.add_argument("--workers", type=int, default=1, help="parallel worker processes")
     swp.add_argument("--out", required=True, help="report CSV path")
@@ -164,7 +143,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     series = generate_segmented(config)
-    _write_atomic(args.out, series_csv_bytes(series))
+    write_bytes(series_csv_bytes(series), args.out)
     return 0
 
 
@@ -175,7 +154,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     series = read_csv(args.input)
     report = measure(series, config)
     if args.emit_distribution:
-        _write_atomic(args.emit_distribution, distribution_csv_bytes(report.distribution))
+        write_bytes(distribution_csv_bytes(report.distribution), args.emit_distribution)
     if report.sparse_histogram:
         print(
             f"warning: only {report.n_variances} variance estimates for "
@@ -191,8 +170,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_divergence(args: argparse.Namespace) -> int:
-    if args.alpha is not None and (args.alpha <= 0 or args.alpha == 1):
-        raise ParameterError(f"alpha must be positive and not 1, got {args.alpha}")
     p = read_distribution_csv(args.p)
     q = read_distribution_csv(args.q) if args.q is not None else None
     result = evaluate(args.metric, p, q, alpha=args.alpha, log_base=args.log_base)
@@ -217,9 +194,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         binning=args.binning,
     )
     report = run_sweep(config, workers=args.workers)
-    _write_atomic(args.out, report.report_csv_bytes())
+    write_bytes(report.report_csv_bytes(), args.out)
     if args.summary:
-        _write_atomic(args.summary, report.summary_csv_bytes())
+        write_bytes(report.summary_csv_bytes(), args.summary)
     return 0
 
 

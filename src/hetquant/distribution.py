@@ -11,7 +11,6 @@ units. Either way the reference is a discrete uniform on the same bins.
 from __future__ import annotations
 
 import io
-import os
 from dataclasses import dataclass
 from math import log, sqrt
 
@@ -19,7 +18,7 @@ import numpy as np
 
 from .errors import IngestionError, ParameterError
 from .local_variance import LocalVarianceSeries
-from .series import format_float
+from .series import format_float, read_lines, write_bytes
 
 __all__ = [
     "BINNINGS",
@@ -169,12 +168,8 @@ def distribution_csv_bytes(dist: ProbabilityDistribution) -> bytes:
 
 
 def write_distribution_csv(dist: ProbabilityDistribution, sink) -> None:
-    data = distribution_csv_bytes(dist)
-    if isinstance(sink, (str, os.PathLike)):
-        with open(sink, "wb") as handle:
-            handle.write(data)
-        return
-    sink.write(data)
+    """Write the ``bin_midpoint,mass`` CSV of ``dist`` to a binary sink or path."""
+    write_bytes(distribution_csv_bytes(dist), sink)
 
 
 def read_distribution_csv(source) -> ProbabilityDistribution:
@@ -183,17 +178,7 @@ def read_distribution_csv(source) -> ProbabilityDistribution:
     Edges are reconstructed between consecutive midpoints; a single-bin file
     uses a unit-width bin around its midpoint. Masses must sum to 1.
     """
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "rb") as handle:
-            return read_distribution_csv(handle)
-    raw = source.read()
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise IngestionError(f"input is not valid UTF-8: {exc}") from None
-    lines = text.splitlines()
-    if not lines:
-        raise IngestionError("empty file")
+    lines = read_lines(source)
     if lines[0].strip() != "bin_midpoint,mass":
         raise IngestionError(f"header must be 'bin_midpoint,mass', got {lines[0]!r}")
     midpoints: list[float] = []

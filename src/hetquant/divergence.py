@@ -20,6 +20,8 @@ __all__ = [
     "DivergenceResult",
     "bhattacharyya_coefficient",
     "bhattacharyya_distance",
+    "distance_from_coefficient",
+    "affinity_from_coefficient",
     "hellinger_affinity",
     "hellinger_standard",
     "kl_divergence",
@@ -30,9 +32,10 @@ __all__ = [
     "renyi_entropy",
     "evaluate",
     "METRICS",
+    "LOG_BASES",
 ]
 
-_LOG_BASES = ("natural", "base2")
+LOG_BASES = ("natural", "base2")
 
 
 def _check_pair(p: ProbabilityDistribution, q: ProbabilityDistribution) -> None:
@@ -40,12 +43,13 @@ def _check_pair(p: ProbabilityDistribution, q: ProbabilityDistribution) -> None:
         raise BinningMismatchError("distributions do not share identical bin edges")
 
 
+def _check_log_base(log_base: str) -> None:
+    if log_base not in LOG_BASES:
+        raise ParameterError(f"log_base must be one of {LOG_BASES}, got {log_base!r}")
+
+
 def _scalar_log(x: float, log_base: str) -> float:
-    if log_base == "natural":
-        return math.log(x)
-    if log_base == "base2":
-        return math.log2(x)
-    raise ParameterError(f"log_base must be one of {_LOG_BASES}, got {log_base!r}")
+    return math.log2(x) if log_base == "base2" else math.log(x)
 
 
 def _clamp_rounding(value: float) -> float:
@@ -86,11 +90,8 @@ def bhattacharyya_coefficient(
     return min(value, 1.0)
 
 
-def bhattacharyya_distance(
-    p: ProbabilityDistribution, q: ProbabilityDistribution
-) -> float:
-    """-ln BC(p, q); +infinity on disjoint supports. Not a metric."""
-    coefficient = bhattacharyya_coefficient(p, q)
+def distance_from_coefficient(coefficient: float) -> float:
+    """-ln BC for a Bhattacharyya coefficient BC; +infinity at 0, 0 at 1."""
     if coefficient == 0.0:
         return math.inf
     if coefficient >= 1.0:
@@ -98,9 +99,21 @@ def bhattacharyya_distance(
     return -math.log(coefficient)
 
 
+def affinity_from_coefficient(coefficient: float) -> float:
+    """1 - sqrt(1 - BC) for a Bhattacharyya coefficient BC."""
+    return 1.0 - math.sqrt(1.0 - coefficient)
+
+
+def bhattacharyya_distance(
+    p: ProbabilityDistribution, q: ProbabilityDistribution
+) -> float:
+    """-ln BC(p, q); +infinity on disjoint supports. Not a metric."""
+    return distance_from_coefficient(bhattacharyya_coefficient(p, q))
+
+
 def hellinger_affinity(p: ProbabilityDistribution, q: ProbabilityDistribution) -> float:
     """Affinity variant 1 - sqrt(1 - BC): 1 for identical, 0 for disjoint."""
-    return 1.0 - math.sqrt(1.0 - bhattacharyya_coefficient(p, q))
+    return affinity_from_coefficient(bhattacharyya_coefficient(p, q))
 
 
 def hellinger_standard(p: ProbabilityDistribution, q: ProbabilityDistribution) -> float:
@@ -116,7 +129,7 @@ def kl_divergence(
     Returns +infinity when some bin has positive p-mass but zero q-mass.
     """
     _check_pair(p, q)
-    _scalar_log(1.0, log_base)
+    _check_log_base(log_base)
     pm, qm = p.masses, q.masses
     mask = pm > 0
     if bool(np.any(mask & (qm == 0))):
@@ -140,7 +153,7 @@ def renyi_divergence(
     """
     _check_pair(p, q)
     alpha = _check_alpha(alpha)
-    _scalar_log(1.0, log_base)
+    _check_log_base(log_base)
     total = _power_sum(p.masses, q.masses, alpha)
     if total == 0.0 or math.isinf(total):
         return math.inf
@@ -177,7 +190,7 @@ def jensen_shannon_divergence(
 
 def shannon_entropy(p: ProbabilityDistribution, log_base: str = "natural") -> float:
     """-sum p_i log p_i with the 0 log 0 = 0 convention."""
-    _scalar_log(1.0, log_base)
+    _check_log_base(log_base)
     masses = p.masses[p.masses > 0]
     value = -float(np.sum(masses * np.log(masses)))
     if log_base == "base2":
@@ -190,7 +203,7 @@ def renyi_entropy(
 ) -> float:
     """Order-alpha Renyi entropy log(sum p^a) / (1 - a); ln B on uniforms."""
     alpha = _check_alpha(alpha)
-    _scalar_log(1.0, log_base)
+    _check_log_base(log_base)
     masses = p.masses[p.masses > 0]
     total = float(np.sum(masses**alpha))
     value = _scalar_log(total, log_base) / (1.0 - alpha)
@@ -208,18 +221,24 @@ class DivergenceResult:
     bounded: bool = False
 
 
+# metric name -> (function, needs q, needs alpha, uses log_base, bounded on
+# [0, 1]). Every function takes (p[, q][, alpha][, log_base]) as flagged.
+_METRIC_TABLE = {
+    "bc": (bhattacharyya_coefficient, True, False, False, True),
+    "bhattacharyya": (bhattacharyya_distance, True, False, False, False),
+    "hellinger_affinity": (hellinger_affinity, True, False, False, True),
+    "hellinger_standard": (hellinger_standard, True, False, False, True),
+    "kl": (kl_divergence, True, False, True, False),
+    "renyi": (renyi_divergence, True, True, True, False),
+    "tsallis": (tsallis_divergence, True, True, False, False),
+    "jsd": (jensen_shannon_divergence, True, False, False, True),
+    "shannon_entropy": (shannon_entropy, False, False, True, False),
+    "renyi_entropy": (renyi_entropy, False, True, True, False),
+}
+
 # metric name -> (needs q, needs alpha, uses log_base, bounded on [0, 1])
 METRICS: dict[str, tuple[bool, bool, bool, bool]] = {
-    "bc": (True, False, False, True),
-    "bhattacharyya": (True, False, False, False),
-    "hellinger_affinity": (True, False, False, True),
-    "hellinger_standard": (True, False, False, True),
-    "kl": (True, False, True, False),
-    "renyi": (True, True, True, False),
-    "tsallis": (True, True, False, False),
-    "jsd": (True, False, False, True),
-    "shannon_entropy": (False, False, True, False),
-    "renyi_entropy": (False, True, True, False),
+    name: row[1:] for name, row in _METRIC_TABLE.items()
 }
 
 
@@ -235,7 +254,7 @@ def evaluate(
         raise ParameterError(
             f"unknown metric {metric!r}; choose from {sorted(METRICS)}"
         )
-    needs_q, needs_alpha, uses_base, bounded = METRICS[metric]
+    function, needs_q, needs_alpha, uses_base, bounded = _METRIC_TABLE[metric]
     if needs_q and q is None:
         raise ParameterError(f"metric {metric!r} requires a second distribution")
     if not needs_q and q is not None:
@@ -244,26 +263,8 @@ def evaluate(
         raise ParameterError(f"metric {metric!r} requires alpha")
     if not needs_alpha and alpha is not None:
         raise ParameterError(f"alpha is not a parameter of metric {metric!r}")
-    if metric == "bc":
-        value = bhattacharyya_coefficient(p, q)
-    elif metric == "bhattacharyya":
-        value = bhattacharyya_distance(p, q)
-    elif metric == "hellinger_affinity":
-        value = hellinger_affinity(p, q)
-    elif metric == "hellinger_standard":
-        value = hellinger_standard(p, q)
-    elif metric == "kl":
-        value = kl_divergence(p, q, log_base)
-    elif metric == "renyi":
-        value = renyi_divergence(p, q, alpha, log_base)
-    elif metric == "tsallis":
-        value = tsallis_divergence(p, q, alpha)
-    elif metric == "jsd":
-        value = jensen_shannon_divergence(p, q)
-    elif metric == "shannon_entropy":
-        value = shannon_entropy(p, log_base)
-    else:
-        value = renyi_entropy(p, alpha, log_base)
+    args = [p] + [q] * needs_q + [alpha] * needs_alpha + [log_base] * uses_base
+    value = function(*args)
     reported_base = "base2" if metric == "jsd" else (log_base if uses_base else None)
     return DivergenceResult(
         metric=metric,

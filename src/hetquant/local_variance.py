@@ -36,7 +36,6 @@ class LocalVarianceSeries:
 
     variances: np.ndarray
     window: int
-    boundary_policy: str = "valid_only"
     zero_floor: float = 0.0
 
     def __post_init__(self) -> None:
@@ -47,8 +46,6 @@ class LocalVarianceSeries:
             raise ParameterError("variances must be finite and nonnegative")
         if self.window < 2:
             raise ParameterError("window must be at least 2")
-        if self.boundary_policy != "valid_only":
-            raise ParameterError("boundary_policy must be 'valid_only'")
         if not (np.isfinite(self.zero_floor) and self.zero_floor >= 0):
             raise ParameterError("zero_floor must be finite and nonnegative")
         variances = variances.copy()

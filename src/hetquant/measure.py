@@ -12,17 +12,31 @@ single-bin histogram scores 1/sqrt(B) under the Bhattacharyya variant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
 
 from .distribution import BINNINGS, ProbabilityDistribution, estimate_pdf, uniform_reference
-from .divergence import bhattacharyya_coefficient
+from .divergence import (
+    affinity_from_coefficient,
+    bhattacharyya_coefficient,
+    distance_from_coefficient,
+)
 from .errors import ConfigurationError, ParameterError
 from .local_variance import local_variance
 from .series import TimeSeries
 
-__all__ = ["MeasureConfig", "MeasureReport", "measure", "measure_from_distribution"]
+__all__ = [
+    "MeasureConfig",
+    "MeasureReport",
+    "measure",
+    "measure_from_distribution",
+    "score_distribution",
+    "VARIANTS",
+]
 
-_VARIANTS = ("bhattacharyya", "hellinger")
+# The scores score_distribution returns, in order.
+METRIC_ORDER = ("H_B", "H_H", "bhattacharyya_distance")
+
+# Score variants, named for the first two METRIC_ORDER scores in order.
+VARIANTS = ("bhattacharyya", "hellinger")
 
 # Below this many variance estimates per bin budget, the histogram is too
 # sparse for a stable score and the report flags it.
@@ -45,8 +59,8 @@ class MeasureConfig:
             raise ConfigurationError("window must be at least 2")
         if self.bins < 2:
             raise ConfigurationError("bins must be at least 2")
-        if self.variant not in _VARIANTS:
-            raise ConfigurationError(f"variant must be one of {_VARIANTS}")
+        if self.variant not in VARIANTS:
+            raise ConfigurationError(f"variant must be one of {VARIANTS}")
         if self.binning not in BINNINGS:
             raise ConfigurationError(f"binning must be one of {BINNINGS}")
 
@@ -63,16 +77,24 @@ class MeasureReport:
     sparse_histogram: bool
 
 
+def score_distribution(p: ProbabilityDistribution) -> tuple[float, float, float]:
+    """H_B, H_H and the Bhattacharyya distance of ``p`` against its uniform
+    reference, all from one Bhattacharyya coefficient."""
+    coefficient = bhattacharyya_coefficient(p, uniform_reference(p))
+    return (
+        coefficient,
+        affinity_from_coefficient(coefficient),
+        distance_from_coefficient(coefficient),
+    )
+
+
 def measure_from_distribution(
     p: ProbabilityDistribution, variant: str = "bhattacharyya"
 ) -> float:
     """Score a readymade variance distribution against its uniform reference."""
-    if variant not in _VARIANTS:
-        raise ParameterError(f"variant must be one of {_VARIANTS}")
-    coefficient = bhattacharyya_coefficient(p, uniform_reference(p))
-    if variant == "bhattacharyya":
-        return coefficient
-    return 1.0 - sqrt(1.0 - coefficient)
+    if variant not in VARIANTS:
+        raise ParameterError(f"variant must be one of {VARIANTS}")
+    return score_distribution(p)[VARIANTS.index(variant)]
 
 
 def measure(series: TimeSeries, config: MeasureConfig = MeasureConfig()) -> MeasureReport:

@@ -10,7 +10,9 @@ parameter such as the window size.
 from __future__ import annotations
 
 import io
+import itertools
 import os
+import stat
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,9 +29,10 @@ __all__ = [
     "write_csv",
     "series_csv_bytes",
     "format_float",
+    "SPACINGS",
 ]
 
-_SPACINGS = ("linear", "logarithmic")
+SPACINGS = ("linear", "logarithmic")
 
 
 def format_float(x: float) -> str:
@@ -117,8 +120,8 @@ class SegmentedGeneratorConfig:
             raise ConfigurationError("sigma_min must be positive")
         if self.sigma_max < self.sigma_min:
             raise ConfigurationError("sigma_max must be at least sigma_min")
-        if self.spacing not in _SPACINGS:
-            raise ConfigurationError(f"spacing must be one of {_SPACINGS}")
+        if self.spacing not in SPACINGS:
+            raise ConfigurationError(f"spacing must be one of {SPACINGS}")
         if not 0 <= self.seed < 2**64:
             raise ConfigurationError("seed must fit in 64 unsigned bits")
 
@@ -184,17 +187,16 @@ def _parse_value(token: str, row: int, column: str) -> float:
     return value
 
 
-def read_csv(source) -> TimeSeries:
-    """Parse a series from a CSV byte stream or path.
+def read_lines(source) -> list[str]:
+    """Decode a binary stream or a file as UTF-8 and split it into lines.
 
-    The first line must be the header ``value`` or ``t,value``. Every data
-    row must hold finite numbers; errors name the offending data row
-    (1-based, header excluded).
+    Raises IngestionError if the bytes are not UTF-8 or hold no line.
     """
     if isinstance(source, (str, os.PathLike)):
         with open(source, "rb") as handle:
-            return read_csv(handle)
-    raw = source.read()
+            raw = handle.read()
+    else:
+        raw = source.read()
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -202,6 +204,53 @@ def read_csv(source) -> TimeSeries:
     lines = text.splitlines()
     if not lines:
         raise IngestionError("empty file")
+    return lines
+
+
+def write_bytes(data: bytes, sink) -> None:
+    """Write ``data`` to a binary stream, or atomically to a path.
+
+    A path is written through a temporary file in the same directory that
+    is then renamed over it, so the path holds either its old contents or
+    all of ``data``, never part of it. The file gets the permissions
+    ``open(path, "wb")`` would give it: those of the file it replaces, or
+    0o666 less the umask for a new one.
+    """
+    if not isinstance(sink, (str, os.PathLike)):
+        sink.write(data)
+        return
+    directory = os.path.dirname(os.path.abspath(sink))
+    for attempt in itertools.count():
+        tmp = os.path.join(directory, f".hetquant-{os.getpid()}-{attempt}")
+        try:
+            handle = open(tmp, "xb")
+        except FileExistsError:
+            continue
+        break
+    try:
+        with handle:
+            handle.write(data)
+        try:
+            os.chmod(tmp, stat.S_IMODE(os.stat(sink).st_mode))
+        except FileNotFoundError:
+            pass
+        os.replace(tmp, sink)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
+def read_csv(source) -> TimeSeries:
+    """Parse a series from a CSV byte stream or path.
+
+    The first line must be the header ``value`` or ``t,value``. Every data
+    row must hold finite numbers; errors name the offending data row
+    (1-based, header excluded).
+    """
+    lines = read_lines(source)
     header = lines[0].strip()
     if header == "value":
         has_times = False
@@ -253,9 +302,4 @@ def series_csv_bytes(series: TimeSeries) -> bytes:
 
 def write_csv(series: TimeSeries, sink) -> None:
     """Write the canonical CSV encoding of ``series`` to a binary sink or path."""
-    data = series_csv_bytes(series)
-    if isinstance(sink, (str, os.PathLike)):
-        with open(sink, "wb") as handle:
-            handle.write(data)
-        return
-    sink.write(data)
+    write_bytes(series_csv_bytes(series), sink)

@@ -14,19 +14,18 @@ from __future__ import annotations
 
 import io
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
 from scipy.stats import rankdata
 
-from .distribution import BINNINGS, estimate_pdf, uniform_reference
-from .divergence import bhattacharyya_coefficient
+from .distribution import estimate_pdf
 from .errors import ConfigurationError, CorrelationUndefinedError, ParameterError
 from .local_variance import local_variance
+from .measure import METRIC_ORDER, MeasureConfig, score_distribution
 from .series import SegmentedGeneratorConfig, format_float, generate_segmented
 
 __all__ = [
@@ -38,8 +37,6 @@ __all__ = [
     "spearman",
     "METRIC_ORDER",
 ]
-
-METRIC_ORDER = ("H_B", "H_H", "bhattacharyya_distance")
 
 
 def spearman(xs, ys) -> float:
@@ -66,14 +63,14 @@ class SweepConfig:
 
     sigma_counts: tuple[int, ...] = (1, 2, 4, 8, 16, 32, 64)
     windows: tuple[int, ...] = (32, 64, 128, 256)
-    bins: int = 64
+    bins: int = MeasureConfig.bins
     total_samples: int = 65536
     seeds: tuple[int, ...] = tuple(range(1, 21))
-    sigma_min: float = 0.25
-    sigma_max: float = 8.0
-    spacing: str = "linear"
-    shuffle_segments: bool = False
-    binning: str = "log"
+    sigma_min: float = SegmentedGeneratorConfig.sigma_min
+    sigma_max: float = SegmentedGeneratorConfig.sigma_max
+    spacing: str = SegmentedGeneratorConfig.spacing
+    shuffle_segments: bool = SegmentedGeneratorConfig.shuffle_segments
+    binning: str = MeasureConfig.binning
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sigma_counts", tuple(int(k) for k in self.sigma_counts))
@@ -85,27 +82,28 @@ class SweepConfig:
             raise ConfigurationError("sigma counts must be positive")
         if max(self.sigma_counts) > self.total_samples:
             raise ConfigurationError("largest sigma count exceeds total_samples")
-        if min(self.windows) < 2:
-            raise ConfigurationError("windows must be at least 2")
+        # Delegate histogram-parameter validation (window, bins, binning).
+        for window in self.windows:
+            MeasureConfig(window=window, bins=self.bins, binning=self.binning)
         if max(self.windows) + 1 > self.total_samples:
             raise ConfigurationError(
                 "largest window leaves fewer than two variance estimates"
             )
-        if self.bins < 2:
-            raise ConfigurationError("bins must be at least 2")
-        if self.binning not in BINNINGS:
-            raise ConfigurationError(f"binning must be one of {BINNINGS}")
         # Delegate generator-parameter validation (sigma range, spacing, seeds).
         for seed in self.seeds:
-            SegmentedGeneratorConfig(
-                total_samples=self.total_samples,
-                num_sigmas=max(self.sigma_counts),
-                sigma_min=self.sigma_min,
-                sigma_max=self.sigma_max,
-                spacing=self.spacing,
-                shuffle_segments=self.shuffle_segments,
-                seed=seed,
-            )
+            self._generator_config(max(self.sigma_counts), seed)
+
+    def _generator_config(self, k: int, seed: int) -> SegmentedGeneratorConfig:
+        """Generator settings of the (k, seed) cell."""
+        return SegmentedGeneratorConfig(
+            total_samples=self.total_samples,
+            num_sigmas=k,
+            sigma_min=self.sigma_min,
+            sigma_max=self.sigma_max,
+            spacing=self.spacing,
+            shuffle_segments=self.shuffle_segments,
+            seed=seed,
+        )
 
 
 class SweepRow(NamedTuple):
@@ -125,25 +123,12 @@ class SummaryRow(NamedTuple):
 
 def _cell_rows(config: SweepConfig, seed: int, k: int) -> list[SweepRow]:
     """Score one generated series under every window of the sweep."""
-    series = generate_segmented(
-        SegmentedGeneratorConfig(
-            total_samples=config.total_samples,
-            num_sigmas=k,
-            sigma_min=config.sigma_min,
-            sigma_max=config.sigma_max,
-            spacing=config.spacing,
-            shuffle_segments=config.shuffle_segments,
-            seed=seed,
-        )
-    )
+    series = generate_segmented(config._generator_config(k, seed))
     rows = []
     for window in config.windows:
         dist = estimate_pdf(local_variance(series, window), config.bins, config.binning)
-        bc = bhattacharyya_coefficient(dist, uniform_reference(dist))
-        distance = math.inf if bc == 0.0 else (-math.log(bc) if bc < 1.0 else 0.0)
-        rows.append(SweepRow(k, window, seed, "H_B", bc))
-        rows.append(SweepRow(k, window, seed, "H_H", 1.0 - math.sqrt(1.0 - bc)))
-        rows.append(SweepRow(k, window, seed, "bhattacharyya_distance", distance))
+        for metric, score in zip(METRIC_ORDER, score_distribution(dist)):
+            rows.append(SweepRow(k, window, seed, metric, score))
     return rows
 
 
@@ -179,13 +164,17 @@ class SweepReport:
     rows: tuple[SweepRow, ...]
     config: SweepConfig
 
+    @cached_property
+    def _scores_by_cell(self) -> dict[tuple[int, str, int], dict[int, float]]:
+        """(window, metric, seed) -> {k: score}; a later duplicate row wins."""
+        index: dict[tuple[int, str, int], dict[int, float]] = {}
+        for row in self.rows:
+            index.setdefault((row.window, row.metric, row.seed), {})[row.k] = row.score
+        return index
+
     def scores(self, window: int, metric: str, seed: int) -> list[float]:
         """Scores for one seed and window, ordered by ascending k."""
-        picked = {
-            row.k: row.score
-            for row in self.rows
-            if row.window == window and row.metric == metric and row.seed == seed
-        }
+        picked = self._scores_by_cell.get((window, metric, seed), {})
         return [picked[k] for k in sorted(self.config.sigma_counts)]
 
     def summary_rows(self) -> list[SummaryRow]:
@@ -237,19 +226,3 @@ class SweepReport:
                 out.write(f",{format_float(mean)}")
             out.write("\n")
         return out.getvalue().encode("utf-8")
-
-    def write_report_csv(self, sink) -> None:
-        data = self.report_csv_bytes()
-        if isinstance(sink, (str, os.PathLike)):
-            with open(sink, "wb") as handle:
-                handle.write(data)
-            return
-        sink.write(data)
-
-    def write_summary_csv(self, sink) -> None:
-        data = self.summary_csv_bytes()
-        if isinstance(sink, (str, os.PathLike)):
-            with open(sink, "wb") as handle:
-                handle.write(data)
-            return
-        sink.write(data)

@@ -1,6 +1,8 @@
 """Command-line behavior: exit codes, output formats, and atomicity."""
 
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -78,6 +80,33 @@ class TestGenerate:
         )
         assert code == 2
         assert "error: io:" in err
+
+    @pytest.mark.skipif(os.name != "posix", reason="POSIX permission bits")
+    def test_output_mode_matches_plain_open(self, tmp_path, capsys):
+        target = tmp_path / "series.csv"
+        argv = ("generate", "--samples", "16", "--out", str(target))
+        old_umask = os.umask(0o022)
+        try:
+            assert run_cli(capsys, *argv)[0] == 0
+            assert stat.S_IMODE(target.stat().st_mode) == 0o644
+            target.chmod(0o640)
+            assert run_cli(capsys, *argv)[0] == 0
+            assert stat.S_IMODE(target.stat().st_mode) == 0o640
+        finally:
+            os.umask(old_umask)
+
+    def test_directory_target_exits_two_and_leaves_no_temporary(self, tmp_path, capsys):
+        target = tmp_path / "taken"
+        target.mkdir()
+        (target / "keep.txt").write_bytes(b"kept")
+        code, _, err = run_cli(
+            capsys, "generate", "--samples", "16", "--out", str(target)
+        )
+        assert code == 2
+        assert "error: io:" in err
+        assert [p.name for p in target.iterdir()] == ["keep.txt"]
+        assert (target / "keep.txt").read_bytes() == b"kept"
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
 
 class TestAnalyze:

@@ -33,7 +33,6 @@ class TestExamples:
         result = local_variance(series, window=7)
         assert len(result) == 100 - 7 + 1
         assert result.window == 7
-        assert result.boundary_policy == "valid_only"
 
 
 class TestValidation:
