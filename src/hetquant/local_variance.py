@@ -1,13 +1,13 @@
-"""Sliding-window local variance via box-filter running sums.
+"""Sliding-window local variance via a float64 box filter.
 
 Position i of the output holds the population variance of samples
 [i, i+w), computed as the windowed mean of squares minus the squared
 windowed mean. Only fully covered windows are emitted, so the output has
 length N - w + 1.
 
-Each result also carries a zero floor: the scale of the rounding residue
-that the running-sum differences can leave. A variance at or below it
-cannot be told from zero.
+Each result also carries a zero floor: a bound on the rounding residue
+that the windowed sums can leave. A variance at or below it cannot be
+told from zero.
 """
 
 from __future__ import annotations
@@ -21,8 +21,9 @@ from .series import TimeSeries
 
 __all__ = ["LocalVarianceSeries", "local_variance"]
 
-# Results below this are treated as numerical corruption rather than rounding.
-_NEGATIVE_TOLERANCE = -1e-9
+# Results below minus the larger of this and the zero floor are treated as
+# numerical corruption rather than rounding.
+_NEGATIVE_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,6 +57,28 @@ class LocalVarianceSeries:
         return int(self.variances.size)
 
 
+def _window_sums(values: np.ndarray, window: int) -> np.ndarray:
+    """Sum every length-``window`` slice of ``values`` by doubling.
+
+    At level k, ``level[i]`` is the sum of ``values[i : i + 2**k]``, and
+    ``level[:-2**k] + level[2**k:]`` is level k + 1. The window sum adds,
+    at increasing offsets, the level of every set bit k of ``window``. So
+    each output is a summation tree over its own window only, and the cost
+    is O(N log2(window)) adds.
+    """
+    n_out = values.size - window + 1
+    total = np.zeros(n_out)
+    level, offset, span = values, 0, 1
+    while True:
+        if window & span:
+            total += level[offset : offset + n_out]
+            offset += span
+        if 2 * span > window:
+            return total
+        level = level[:-span] + level[span:]
+        span *= 2
+
+
 def local_variance(series: TimeSeries, window: int) -> LocalVarianceSeries:
     """Estimate the variance of every length-``window`` slice of ``series``.
 
@@ -71,37 +94,44 @@ def local_variance(series: TimeSeries, window: int) -> LocalVarianceSeries:
     LocalVarianceSeries
         N - w + 1 nonnegative variance estimates and their zero floor.
 
-    The global mean is subtracted before forming the running sums to limit
-    catastrophic cancellation in E[x^2] - E[x]^2, and the sums accumulate in
-    extended precision so their rounding stays far below the 1e-9 oracle
-    tolerance even for long, large-amplitude series. Tiny negative outputs
-    from rounding are clamped to zero; anything below -1e-9 raises an
-    internal error.
+    The global mean is subtracted first to limit catastrophic cancellation
+    in E[x^2] - E[x]^2. The windowed sums of x and x^2 are then formed in
+    float64 by doubling (see ``_window_sums``), so each window's sums are
+    rounded only along a summation tree over its own w samples, of depth at
+    most d = bit_length(w) - 1 + popcount(w) - 1. The rounding therefore
+    does not grow with the series length and does not depend on the
+    platform's ``long double``. Negative outputs from rounding are clamped
+    to zero; anything below minus the larger of 1e-9 and the zero floor
+    raises an internal error.
 
-    The zero floor is N * eps * (sum of squares) / w, with eps the
-    precision of the accumulation type: the first-order worst case of the
-    rounding a sequential running sum of N terms carries into a windowed
-    difference. A stretch of constant samples between noisy ones leaves
-    residues of this kind (around 1e-18 for unit noise) where the true
-    variance is 0.
+    The zero floor bounds that rounding to first order. With unit roundoff
+    u = eps/2 and M a window's mean square: the mean square carries the d
+    adds, the squaring and the division by w, at most (d + 2) u M; the mean
+    carries (d + 1) u times the mean absolute value, at most sqrt(M), so
+    its square carries (2d + 3) u M; the subtraction adds u M. The sum is
+    3 (d + 2) u M = 1.5 (bit_length(w) + popcount(w)) eps M, taken at the
+    largest M of the series. A stretch of constant samples between noisy
+    ones can leave residues of this kind where the true variance is 0
+    (none at a power-of-two w, whose sums of equal terms are exact). The
+    floor is 0 for a constant series whose mean is exact.
     """
     n = len(series)
     if window < 2:
         raise ParameterError(f"window must be at least 2, got {window}")
     if window > n:
         raise ParameterError(f"window ({window}) exceeds series length ({n})")
-    x = (series.samples - series.samples.mean()).astype(np.longdouble)
-    zero = np.zeros(1, dtype=np.longdouble)
-    cum1 = np.concatenate((zero, np.cumsum(x)))
-    cum2 = np.concatenate((zero, np.cumsum(x * x)))
-    mean = (cum1[window:] - cum1[:-window]) / window
-    mean_sq = (cum2[window:] - cum2[:-window]) / window
-    variances = (mean_sq - mean * mean).astype(np.float64)
+    x = series.samples - series.samples.mean()
+    mean = _window_sums(x, window)
+    mean /= window
+    mean_sq = _window_sums(x * x, window)
+    mean_sq /= window
+    variances = mean_sq - mean * mean
+    depth_terms = int(window).bit_length() + int(window).bit_count()
+    zero_floor = float(1.5 * depth_terms * np.finfo(np.float64).eps * mean_sq.max())
     lowest = variances.min()
-    if lowest < _NEGATIVE_TOLERANCE:
+    if lowest < -max(_NEGATIVE_TOLERANCE, zero_floor):
         raise InternalError(
             f"box-filter variance fell to {lowest}, beyond rounding tolerance"
         )
     np.maximum(variances, 0.0, out=variances)
-    zero_floor = float(n * np.finfo(x.dtype).eps * cum2[-1] / window)
     return LocalVarianceSeries(variances, window=window, zero_floor=zero_floor)

@@ -49,10 +49,16 @@ def spearman(xs, ys) -> float:
         )
     if xs.size < 2:
         raise CorrelationUndefinedError("need at least two observations")
-    rx = rankdata(xs)
-    ry = rankdata(ys)
-    if np.ptp(rx) == 0 or np.ptp(ry) == 0:
+    rho = _rank_correlation(rankdata(xs), rankdata(ys))
+    if rho is None:
         raise CorrelationUndefinedError("zero rank variance makes correlation undefined")
+    return rho
+
+
+def _rank_correlation(rx: np.ndarray, ry: np.ndarray) -> float | None:
+    """Pearson correlation of two rank vectors; None if either is constant."""
+    if np.ptp(rx) == 0 or np.ptp(ry) == 0:
+        return None
     return float(np.corrcoef(rx, ry)[0, 1])
 
 
@@ -179,9 +185,9 @@ class SweepReport:
 
     def summary_rows(self) -> list[SummaryRow]:
         """Aggregate each (window, metric): mean per-seed Spearman against
-        log2(k), plus the across-seed mean score per k."""
-        ks = sorted(self.config.sigma_counts)
-        log_k = np.log2(ks)
+        log2(k) (NaN for a seed whose ranks are constant), plus the
+        across-seed mean score per k."""
+        log_k_ranks = rankdata(np.log2(sorted(self.config.sigma_counts)))
         out: list[SummaryRow] = []
         for window in sorted(self.config.windows):
             for metric in METRIC_ORDER:
@@ -189,11 +195,9 @@ class SweepReport:
                     [self.scores(window, metric, seed) for seed in self.config.seeds]
                 )
                 rhos = []
-                for row in per_seed:
-                    try:
-                        rhos.append(spearman(log_k, row))
-                    except CorrelationUndefinedError:
-                        rhos.append(math.nan)
+                for score_ranks in rankdata(per_seed, axis=1):
+                    rho = _rank_correlation(log_k_ranks, score_ranks)
+                    rhos.append(math.nan if rho is None else rho)
                 out.append(
                     SummaryRow(
                         window=window,

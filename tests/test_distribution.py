@@ -109,13 +109,14 @@ class TestLogBinning:
         samples = np.concatenate(
             (rng.normal(0, 1, 1000), np.full(500, 7.0), rng.normal(0, 2, 1000))
         )
-        variances = local_variance(TimeSeries(samples), window=32)
+        window = 100
+        variances = local_variance(TimeSeries(samples), window=window)
         values = variances.variances
         signal = values[values > variances.zero_floor]
         assert signal.size < np.count_nonzero(values), "no residue to test against"
         dist = estimate_pdf(variances, 64, "log")
         np.testing.assert_allclose(dist.edges[0], np.log(signal.min()), rtol=1e-14)
-        span = max(np.log(signal.max() / signal.min()), 64 * np.sqrt(2.0 / 31))
+        span = max(np.log(signal.max() / signal.min()), 64 * np.sqrt(2.0 / (window - 1)))
         np.testing.assert_allclose(dist.edges[-1] - dist.edges[0], span, rtol=1e-12)
         assert dist.masses[0] >= (values.size - signal.size) / values.size
 

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.lib.stride_tricks import sliding_window_view
 
 from hetquant import (
@@ -33,6 +36,13 @@ class TestExamples:
         result = local_variance(series, window=7)
         assert len(result) == 100 - 7 + 1
         assert result.window == 7
+
+    def test_numpy_integer_window(self):
+        series = TimeSeries(np.random.default_rng(2).normal(0, 1, 100))
+        want = local_variance(series, 7)
+        got = local_variance(series, np.int64(7))
+        assert np.array_equal(got.variances, want.variances)
+        assert got.zero_floor == want.zero_floor
 
 
 class TestValidation:
@@ -67,18 +77,44 @@ class TestZeroFloor:
 
     def test_floor_covers_residue_of_a_constant_stretch(self):
         """Windows inside a constant stretch between noisy segments are
-        exactly 0 in truth; what the running sums leave there lies at or
+        exactly 0 in truth; what the windowed sums leave there lies at or
         below the floor, and the noise's own variances lie far above it."""
+        rng = np.random.default_rng(1)
+        samples = np.concatenate(
+            (rng.normal(0, 1, 1000), np.full(500, 7.0), rng.normal(0, 2, 1000))
+        )
+        window = 100
+        result = local_variance(TimeSeries(samples), window=window)
+        inside = result.variances[1000 : 1500 - window + 1]
+        assert np.any(inside > 0), "no residue to test against"
+        assert inside.max() <= result.zero_floor
+        noisy = np.concatenate(
+            (result.variances[:1000 - (window - 1)], result.variances[1500:])
+        )
+        assert result.zero_floor < 1e-6 * noisy.min()
+
+    def test_constant_stretch_is_exactly_zero_at_power_of_two_window(self):
+        """At a power-of-two window every sum inside a constant stretch adds
+        equal terms in pairs, which is exact, so no residue is left."""
         rng = np.random.default_rng(1)
         samples = np.concatenate(
             (rng.normal(0, 1, 1000), np.full(500, 7.0), rng.normal(0, 2, 1000))
         )
         result = local_variance(TimeSeries(samples), window=32)
         inside = result.variances[1000 : 1500 - 32 + 1]
-        assert np.any(inside > 0), "no residue to test against"
-        assert inside.max() <= result.zero_floor
-        noisy = np.concatenate((result.variances[:1000 - 31], result.variances[1500:]))
-        assert result.zero_floor < 1e-6 * noisy.min()
+        assert np.all(inside == 0.0)
+
+    @pytest.mark.parametrize("window", [3, 5, 100])
+    def test_large_step_is_rounding_not_corruption(self, window):
+        """A constant stretch far from the global mean has residues of size
+        eps times its squared distance from the mean, beyond 1e-9 here: they
+        lie under the floor and are clamped, not rejected."""
+        rng = np.random.default_rng(3)
+        samples = np.concatenate(
+            (np.zeros(100), np.full(100, 123456.789), rng.normal(0, 1, 100))
+        )
+        result = local_variance(TimeSeries(samples), window)
+        assert result.variances[100 : 200 - window + 1].max() <= result.zero_floor
 
 
 class TestOracleEquivalence:
@@ -99,6 +135,24 @@ class TestOracleEquivalence:
             got = local_variance(TimeSeries(samples), window).variances
             want = two_pass_variance(samples, window)
             assert np.max(np.abs(got - want)) < 1e-9
+
+    def test_matches_two_pass_on_a_long_series(self):
+        """The rounding of each window's sums must not grow with N: at
+        N = 4e6 the tail still matches the oracle."""
+        n = 4_000_000
+        samples = np.random.default_rng(5).normal(0, 100, n) + 1e6
+        series = TimeSeries(samples)
+        tail = 20_000
+        for window in (2, 32, 1000):
+            got = local_variance(series, window).variances[-tail:]
+            want = np.concatenate(
+                [
+                    two_pass_variance(samples[start : start + 5_000 + window - 1], window)
+                    for start in range(n - window + 1 - tail, n - window + 1, 5_000)
+                ]
+            )
+            worst = np.max(np.abs(got - want))
+            assert worst < 1e-9, f"window {window}: deviation {worst}"
 
 
 class TestProperties:
@@ -139,3 +193,68 @@ class TestProperties:
         result = local_variance(TimeSeries(np.array([1.0, 2.0, 3.0])), 2)
         with pytest.raises(ValueError):
             result.variances[0] = 9.0
+
+
+# Dyadic samples, so adding a dyadic offset of like size is exact.
+_dyadic = st.builds(
+    lambda ints, exponent: np.array(ints, dtype=np.float64) * 2.0**exponent,
+    st.lists(st.integers(-(2**20), 2**20), min_size=2, max_size=300),
+    st.integers(-30, 30),
+)
+
+
+@st.composite
+def _series_and_window(draw, samples=_dyadic):
+    values = draw(samples)
+    return values, draw(st.integers(2, values.size))
+
+
+_bounded = arrays(
+    np.float64,
+    st.integers(2, 300),
+    elements=st.floats(-1e6, 1e6, allow_subnormal=False),
+)
+
+
+class TestHypothesisProperties:
+    """Random bounded inputs. Tolerances are a small multiple of the
+    kernel's own zero floor, which bounds its rounding."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_series_and_window(_bounded))
+    def test_length_sign_and_oracle(self, case):
+        samples, window = case
+        result = local_variance(TimeSeries(samples), window)
+        assert len(result) == samples.size - window + 1
+        assert np.all(result.variances >= 0)
+        deviation = np.abs(result.variances - two_pass_variance(samples, window))
+        # The oracle's own error: its rounded window mean is off by up to
+        # about log2(w) ulps of the largest sample, which adds the square of
+        # that offset to its variance.
+        oracle_error = (window * np.finfo(np.float64).eps * np.max(np.abs(samples))) ** 2
+        assert np.all(deviation <= 2 * result.zero_floor + oracle_error + 1e-290)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(-1e6, 1e6, allow_subnormal=False),
+        st.integers(2, 300),
+        st.integers(1, 8),
+    )
+    def test_constant_input_is_exactly_zero_at_power_of_two_window(
+        self, value, length, log2_window
+    ):
+        window = 2**log2_window
+        if window > length:
+            length = window
+        result = local_variance(TimeSeries(np.full(length, value)), window)
+        assert np.all(result.variances == 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_series_and_window(), st.integers(-(2**20), 2**20))
+    def test_constant_offset_invariance(self, case, offset_units):
+        samples, window = case
+        offset = offset_units * np.max(np.abs(samples), initial=1.0)
+        base = local_variance(TimeSeries(samples), window)
+        shifted = local_variance(TimeSeries(samples + offset), window)
+        bound = 2 * (base.zero_floor + shifted.zero_floor) + 1e-290
+        assert np.all(np.abs(shifted.variances - base.variances) <= bound)

@@ -176,6 +176,12 @@ class TestSummary:
             )
             assert -1.0 <= summary[(window, "H_B")].spearman <= 1.0
 
+    def test_summary_spearman_is_nan_for_constant_ranks(self):
+        config = SweepConfig(sigma_counts=(4,), windows=(8,), seeds=(1, 2), total_samples=512)
+        for row in run_sweep(config).summary_rows():
+            assert math.isnan(row.spearman)
+            assert np.all(np.isfinite(row.mean_scores))
+
 
 class TestValidation:
     def test_empty_lists_rejected(self):
