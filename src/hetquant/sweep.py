@@ -14,13 +14,11 @@ from __future__ import annotations
 
 import io
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .distribution import estimate_pdf
 from .errors import ConfigurationError, CorrelationUndefinedError, ParameterError
@@ -49,10 +47,29 @@ def spearman(xs, ys) -> float:
         )
     if xs.size < 2:
         raise CorrelationUndefinedError("need at least two observations")
-    rho = _rank_correlation(rankdata(xs), rankdata(ys))
+    rho = _rank_correlation(_average_ranks(xs), _average_ranks(ys))
     if rho is None:
         raise CorrelationUndefinedError("zero rank variance makes correlation undefined")
     return rho
+
+
+def _average_ranks(values) -> np.ndarray:
+    """1-based ranks along the last axis, ties sharing their mean rank, as
+    ``scipy.stats.rankdata``; a row holding NaN ranks as all NaN."""
+    values = np.asarray(values, dtype=np.float64)
+    order = np.argsort(values, axis=-1, kind="stable")
+    ordered = np.take_along_axis(values, order, axis=-1)
+    run_starts = np.ones(values.shape, dtype=bool)
+    run_starts[..., 1:] = ordered[..., 1:] != ordered[..., :-1]
+    starts = np.flatnonzero(run_starts)
+    counts = np.diff(starts, append=values.size)
+    run_ranks = starts % values.shape[-1] + 1 + (counts - 1) / 2
+    ranks = np.empty_like(values)
+    np.put_along_axis(
+        ranks, order, np.repeat(run_ranks, counts).reshape(values.shape), axis=-1
+    )
+    ranks[np.isnan(values).any(axis=-1)] = np.nan
+    return ranks
 
 
 def _rank_correlation(rx: np.ndarray, ry: np.ndarray) -> float | None:
@@ -156,6 +173,9 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> "SweepReport":
         seeds = [t[0] for t in tasks]
         ks = [t[1] for t in tasks]
         chunksize = max(1, len(tasks) // (workers * 4))
+        # Imported here so that only pooled runs pay for loading multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for cell in pool.map(partial(_cell_rows, config), seeds, ks, chunksize=chunksize):
                 rows.extend(cell)
@@ -187,7 +207,7 @@ class SweepReport:
         """Aggregate each (window, metric): mean per-seed Spearman against
         log2(k) (NaN for a seed whose ranks are constant), plus the
         across-seed mean score per k."""
-        log_k_ranks = rankdata(np.log2(sorted(self.config.sigma_counts)))
+        log_k_ranks = _average_ranks(np.log2(sorted(self.config.sigma_counts)))
         out: list[SummaryRow] = []
         for window in sorted(self.config.windows):
             for metric in METRIC_ORDER:
@@ -195,7 +215,7 @@ class SweepReport:
                     [self.scores(window, metric, seed) for seed in self.config.seeds]
                 )
                 rhos = []
-                for score_ranks in rankdata(per_seed, axis=1):
+                for score_ranks in _average_ranks(per_seed):
                     rho = _rank_correlation(log_k_ranks, score_ranks)
                     rhos.append(math.nan if rho is None else rho)
                 out.append(

@@ -3,10 +3,14 @@
 import math
 import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hetquant
 from hetquant import (
     MeasureConfig,
     ProbabilityDistribution,
@@ -400,3 +404,34 @@ class TestTopLevel:
         code, _, err = run_cli(capsys, "generate", "--samples", "8", "--frobnicate")
         assert code == 1
         assert "error: usage:" in err
+
+
+def run_fresh(script: str, *argv: str) -> str:
+    """Run ``script`` with ``argv`` in a new interpreter that imports this
+    package; this process has already imported scipy for the test oracles."""
+    src = str(Path(hetquant.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    return result.stdout
+
+
+class TestStartup:
+    def test_import_loads_no_scipy_or_process_pool(self):
+        loaded = run_fresh(
+            "import sys, hetquant.cli\n"
+            "heavy = ('scipy', 'concurrent.futures', 'multiprocessing')\n"
+            "print([m for m in heavy if m in sys.modules])"
+        )
+        assert loaded.strip() == "[]"
+
+    def test_two_workers_match_one_after_lean_import(self, tmp_path):
+        """The process pool's deferred import works in a fresh CLI process."""
+        cli = "import sys\nfrom hetquant.cli import main\nsys.exit(main(sys.argv[1:]))"
+        for workers in ("1", "2"):
+            out = str(tmp_path / f"{workers}.csv")
+            run_fresh(cli, *TestSweepCli.ARGS, "--workers", workers, "--out", out)
+        assert (tmp_path / "1.csv").read_bytes() == (tmp_path / "2.csv").read_bytes()

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import spearmanr
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.stats import rankdata, spearmanr
 
 from hetquant import (
     ConfigurationError,
@@ -18,6 +21,7 @@ from hetquant import (
     run_sweep,
     spearman,
 )
+from hetquant.sweep import _average_ranks
 
 SMALL = SweepConfig(
     sigma_counts=(1, 4, 16),
@@ -60,6 +64,34 @@ class TestSpearman:
     def test_zero_rank_variance(self):
         with pytest.raises(CorrelationUndefinedError):
             spearman([1, 2, 3], [5, 5, 5])
+
+    def test_nan_propagates(self):
+        assert math.isnan(spearman([1, 2, 3], [1, math.nan, 3]))
+        ranks = _average_ranks([[3.0, math.nan, 1.0], [3.0, 2.0, 2.0]])
+        assert np.isnan(ranks[0]).all()
+        assert ranks[1].tolist() == [3.0, 1.5, 1.5]
+
+
+# Few distinct values, so ties are common; NaN is pinned by test_nan_propagates.
+_RANKED_VALUES = st.sampled_from([-math.inf, -1.0, 0.0, 0.5, 2.0, math.inf])
+
+
+class TestAverageRanks:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        arrays(
+            np.float64,
+            st.one_of(
+                st.tuples(st.integers(1, 12)),
+                st.tuples(st.integers(1, 5), st.integers(1, 12)),
+            ),
+            elements=_RANKED_VALUES,
+        )
+    )
+    def test_matches_scipy_rankdata(self, values):
+        """Vectors (one element included) and matrices ranked along axis 1."""
+        expected = rankdata(values, axis=-1)
+        np.testing.assert_array_equal(_average_ranks(values), expected)
 
 
 class TestSweepRows:
