@@ -91,7 +91,7 @@ def _build_parser() -> _Parser:
         help="score a series CSV and print variant,score,window,bins,n_variances",
         formatter_class=fmt,
     )
-    ana.add_argument("--input", required=True, help="input series CSV path")
+    ana.add_argument("--input", required=True, help="input series CSV path, or - for standard input")
     ana.add_argument("--window", type=int, default=MeasureConfig.window, help="sliding window width w")
     ana.add_argument("--bins", type=int, default=MeasureConfig.bins, help="histogram bin count B")
     ana.add_argument("--variant", choices=VARIANTS, default=MeasureConfig.variant, help="score variant")
@@ -151,7 +151,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     config = MeasureConfig(
         window=args.window, bins=args.bins, variant=args.variant, binning=args.binning
     )
-    series = read_csv(args.input)
+    series = read_csv(sys.stdin.buffer if args.input == "-" else args.input)
     report = measure(series, config)
     if args.emit_distribution:
         write_bytes(distribution_csv_bytes(report.distribution), args.emit_distribution)

@@ -10,7 +10,6 @@ units. Either way the reference is a discrete uniform on the same bins.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from math import log, sqrt
 
@@ -18,7 +17,7 @@ import numpy as np
 
 from .errors import IngestionError, ParameterError
 from .local_variance import LocalVarianceSeries
-from .series import format_float, read_lines, write_bytes
+from .series import csv_bytes, read_lines, write_bytes
 
 __all__ = [
     "BINNINGS",
@@ -157,14 +156,7 @@ def uniform_reference(like: ProbabilityDistribution) -> ProbabilityDistribution:
 
 def distribution_csv_bytes(dist: ProbabilityDistribution) -> bytes:
     """Two-column ``bin_midpoint,mass`` CSV encoding, LF endings."""
-    out = io.StringIO()
-    out.write("bin_midpoint,mass\n")
-    for mid, mass in zip(dist.midpoints, dist.masses):
-        out.write(format_float(mid))
-        out.write(",")
-        out.write(format_float(mass))
-        out.write("\n")
-    return out.getvalue().encode("utf-8")
+    return csv_bytes("bin_midpoint,mass", dist.midpoints, dist.masses)
 
 
 def write_distribution_csv(dist: ProbabilityDistribution, sink) -> None:

@@ -9,7 +9,7 @@ parameter such as the window size.
 
 from __future__ import annotations
 
-import io
+import contextlib
 import itertools
 import os
 import stat
@@ -187,21 +187,40 @@ def _parse_value(token: str, row: int, column: str) -> float:
     return value
 
 
+def _open_binary(source):
+    """Open a path for binary reading, or pass a binary stream through unclosed."""
+    if isinstance(source, (str, os.PathLike)):
+        return open(source, "rb")
+    return contextlib.nullcontext(source)
+
+
+def _decode(raw: bytes, offset: int) -> str:
+    """Decode ``raw``, which starts ``offset`` bytes into the input, as UTF-8.
+
+    The error message is Python's own for the whole input: positions count
+    from its start, not from the start of ``raw``.
+    """
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        start, end = offset + exc.start, offset + exc.end
+        if end - start == 1:
+            where = f"byte 0x{raw[exc.start]:02x} in position {start}"
+        else:
+            where = f"bytes in position {start}-{end - 1}"
+        raise IngestionError(
+            f"input is not valid UTF-8: 'utf-8' codec can't decode {where}: {exc.reason}"
+        ) from None
+
+
 def read_lines(source) -> list[str]:
     """Decode a binary stream or a file as UTF-8 and split it into lines.
 
     Raises IngestionError if the bytes are not UTF-8 or hold no line.
     """
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "rb") as handle:
-            raw = handle.read()
-    else:
-        raw = source.read()
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise IngestionError(f"input is not valid UTF-8: {exc}") from None
-    lines = text.splitlines()
+    with _open_binary(source) as handle:
+        raw = handle.read()
+    lines = _decode(raw, 0).splitlines()
     if not lines:
         raise IngestionError("empty file")
     return lines
@@ -243,61 +262,148 @@ def write_bytes(data: bytes, sink) -> None:
         raise
 
 
+_BLOCK_BYTES = 1 << 20
+_FORMAT_ROWS = 1 << 16
+
+
+def _blocks(handle):
+    """Yield ``(offset, block)`` pieces of a binary stream, in order.
+
+    Each block holds about ``_BLOCK_BYTES`` and ends just after a ``b"\\n"``,
+    except the last, which ends where the stream does. A cut there never
+    splits a UTF-8 character or a ``\\r\\n`` pair, so the lines of the
+    decoded blocks are the lines of the whole input. A stretch with no
+    ``b"\\n"`` stays in one block.
+    """
+    offset = 0
+    pending: list[bytes] = []
+    while data := handle.read(_BLOCK_BYTES):
+        cut = data.rfind(b"\n") + 1
+        if cut == 0:
+            pending.append(data)
+            continue
+        pending.append(data[:cut])
+        block = b"".join(pending)
+        pending = [data[cut:]]
+        del data  # not held while the caller parses the block
+        yield offset, block
+        offset += len(block)
+    tail = b"".join(pending)
+    if tail:
+        yield offset, tail
+
+
+def _header_has_times(line: str) -> bool:
+    header = line.strip()
+    if header == "value":
+        return False
+    if header == "t,value":
+        return True
+    raise IngestionError(f"header must be 'value' or 't,value', got {header!r}")
+
+
+def _parse_rows(lines: list[str], first_row: int, has_times: bool) -> np.ndarray:
+    """Parse data rows one at a time; errors name the 1-based row."""
+    names = ("t", "value") if has_times else ("value",)
+    expected = len(names)
+    values: list[list[float]] = []
+    for row, line in enumerate(lines, start=first_row):
+        line = line.strip()
+        if not line:
+            raise IngestionError(f"row {row}: blank line")
+        fields = line.split(",")
+        if len(fields) != expected:
+            raise IngestionError(
+                f"row {row}: expected {expected} column(s), got {len(fields)}"
+            )
+        values.append([_parse_value(f, row, name) for f, name in zip(fields, names)])
+    return np.array(values, dtype=np.float64)
+
+
+def _parse_block(lines: list[str], first_row: int, has_times: bool) -> np.ndarray:
+    """Parse data rows into an ``(n, columns)`` array, all at once if possible.
+
+    ``np.array`` converts each str with ``float()``, so it accepts the same
+    tokens with the same bits as the row loop. A block it rejects, or that
+    holds a non-finite value or a wrong column count, goes through the row
+    loop, which names the row at fault (or accepts what ``line.strip()``
+    makes valid, such as a leading ``\\x1f``).
+    """
+    try:
+        if has_times:
+            table = np.array([line.split(",") for line in lines], dtype=np.float64)
+        else:
+            table = np.array(lines, dtype=np.float64).reshape(len(lines), 1)
+    except ValueError:
+        table = None
+    expected = (len(lines), 2 if has_times else 1)
+    if table is not None and table.shape == expected and np.isfinite(table).all():
+        return table
+    return _parse_rows(lines, first_row, has_times)
+
+
 def read_csv(source) -> TimeSeries:
     """Parse a series from a CSV byte stream or path.
 
     The first line must be the header ``value`` or ``t,value``. Every data
     row must hold finite numbers; errors name the offending data row
-    (1-based, header excluded).
+    (1-based, header excluded). The input is read in blocks of about 1 MiB,
+    so parsing holds one block at a time plus the parsed values, 8 bytes
+    per row (16 with ``t``).
     """
-    lines = read_lines(source)
-    header = lines[0].strip()
-    if header == "value":
-        has_times = False
-    elif header == "t,value":
-        has_times = True
-    else:
-        raise IngestionError(f"header must be 'value' or 't,value', got {header!r}")
-    values: list[float] = []
-    times: list[float] = []
-    for row, line in enumerate(lines[1:], start=1):
-        line = line.strip()
-        if not line:
-            raise IngestionError(f"row {row}: blank line")
-        fields = line.split(",")
-        expected = 2 if has_times else 1
-        if len(fields) != expected:
-            raise IngestionError(
-                f"row {row}: expected {expected} column(s), got {len(fields)}"
-            )
-        if has_times:
-            times.append(_parse_value(fields[0], row, "t"))
-            values.append(_parse_value(fields[1], row, "value"))
-        else:
-            values.append(_parse_value(fields[0], row, "value"))
-    if not values:
+    has_times: bool | None = None
+    parts: list[np.ndarray] = []
+    rows = 0
+    error: IngestionError | None = None
+    with _open_binary(source) as handle:
+        for offset, block in _blocks(handle):
+            lines = _decode(block, offset).splitlines()
+            # After an error the rest is still decoded: invalid UTF-8 anywhere
+            # in the input takes precedence, as when it was decoded whole.
+            if error is not None:
+                continue
+            try:
+                if has_times is None:
+                    has_times = _header_has_times(lines[0])
+                    del lines[0]
+                if lines:
+                    parts.append(_parse_block(lines, rows + 1, has_times))
+            except IngestionError as exc:
+                error = exc
+            rows += len(lines)
+    if error is not None:
+        raise error
+    if has_times is None:
+        raise IngestionError("empty file")
+    if not rows:
         raise IngestionError("no data rows")
-    return TimeSeries(
-        np.array(values), times=np.array(times) if has_times else None
-    )
+    table = np.concatenate(parts)
+    del parts  # freed before TimeSeries copies the columns
+    if has_times:
+        return TimeSeries(table[:, 1], times=table[:, 0])
+    return TimeSeries(table[:, 0])
+
+
+def csv_bytes(header: str, *columns: np.ndarray) -> bytes:
+    """Encode equal-length float columns as CSV under ``header``, LF endings.
+
+    Each value is written as ``format_float`` writes it: ``repr``, without
+    a trailing ``.0``. Rows are formatted in blocks of ``_FORMAT_ROWS``.
+    """
+    out = [header.encode("utf-8") + b"\n"]
+    for start in range(0, len(columns[0]), _FORMAT_ROWS):
+        texts = [map(repr, c[start : start + _FORMAT_ROWS].tolist()) for c in columns]
+        rows = texts[0] if len(texts) == 1 else map(",".join, zip(*texts))
+        text = "\n".join(rows) + "\n"
+        out.append(text.replace(".0\n", "\n").replace(".0,", ",").encode("utf-8"))
+    return b"".join(out)
 
 
 def series_csv_bytes(series: TimeSeries) -> bytes:
     """Canonical CSV encoding: LF endings, shortest round-trip floats."""
-    out = io.StringIO()
     if series.times is None:
-        out.write("value\n")
-        for x in series.samples:
-            out.write(format_float(x))
-            out.write("\n")
-    else:
-        out.write("t,value\n")
-        for t, x in zip(series.times, series.samples):
-            out.write(format_float(t))
-            out.write(",")
-            out.write(format_float(x))
-            out.write("\n")
-    return out.getvalue().encode("utf-8")
+        return csv_bytes("value", series.samples)
+    return csv_bytes("t,value", series.times, series.samples)
 
 
 def write_csv(series: TimeSeries, sink) -> None:

@@ -222,6 +222,31 @@ class TestAnalyze:
         assert "row 2" in err
         assert not hist.exists()
 
+    def test_invalid_utf8_exits_one(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"value\n1\n\xff\n")
+        code, out, err = run_cli(capsys, "analyze", "--input", str(bad), "--window", "2")
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: ingestion: input is not valid UTF-8: 'utf-8' codec can't decode "
+            "byte 0xff in position 8: invalid start byte\n"
+        )
+
+    def test_standard_input_scores_like_the_path(self, tmp_path, capsys):
+        target = tmp_path / "series.csv"
+        run_cli(
+            capsys,
+            "generate", "--samples", "4096", "--num-sigmas", "8", "--seed", "11",
+            "--out", str(target),
+        )
+        flags = ("--window", "64", "--bins", "32")
+        code, expected, _ = run_cli(capsys, "analyze", "--input", str(target), *flags)
+        assert code == 0
+        cli = "import sys\nfrom hetquant.cli import main\nsys.exit(main(sys.argv[1:]))"
+        out = run_fresh(cli, "analyze", "--input", "-", *flags, stdin=target.read_text())
+        assert out == expected
+
     def test_missing_input_exits_two(self, tmp_path, capsys):
         code, _, err = run_cli(
             capsys, "analyze", "--input", str(tmp_path / "absent.csv")
@@ -406,15 +431,16 @@ class TestTopLevel:
         assert "error: usage:" in err
 
 
-def run_fresh(script: str, *argv: str) -> str:
+def run_fresh(script: str, *argv: str, stdin: str | None = None) -> str:
     """Run ``script`` with ``argv`` in a new interpreter that imports this
-    package; this process has already imported scipy for the test oracles."""
+    package, piping ``stdin`` to it; this process has already imported
+    scipy for the test oracles."""
     src = str(Path(hetquant.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-c", script, *argv],
-        env=env, capture_output=True, text=True, check=True, timeout=120,
+        input=stdin, env=env, capture_output=True, text=True, check=True, timeout=120,
     )
     return result.stdout
 

@@ -1,24 +1,31 @@
 """Generator and CSV contracts: partitioning, determinism, round trips."""
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hetquant import (
     ConfigurationError,
     IngestionError,
     ParameterError,
+    ProbabilityDistribution,
     SegmentedGeneratorConfig,
     TimeSeries,
+    distribution_csv_bytes,
     format_float,
     generate_segmented,
     read_csv,
+    read_distribution_csv,
     segment_lengths,
     series_csv_bytes,
     sigma_values,
     write_csv,
 )
+from hetquant import series as series_module
 
 
 class TestSegmentLengths:
@@ -188,6 +195,20 @@ class TestFloatFormatting:
             assert float(format_float(x)) == x, f"{x!r} did not survive formatting"
 
 
+MALFORMED = [
+    (b"", "empty"),
+    (b"value\n", "no data rows"),
+    (b"wrong\n1\n", "header"),
+    (b"value\n1.0\nabc\n", "row 2"),
+    (b"value\nabc\n", "row 1"),
+    (b"value\n1.0\n2.0,3.0\n", "row 2"),
+    (b"t,value\n0\n", "row 1"),
+    (b"value\ninf\n", "row 1"),
+    (b"value\n1.0\nnan\n", "row 2"),
+    (b"value\n1.0\n\n2.0\n", "row 2"),
+]
+
+
 class TestCsv:
     def test_write_canonical_bytes(self):
         series = TimeSeries(np.array([1.0, 2.0]))
@@ -226,21 +247,316 @@ class TestCsv:
         write_csv(series, target)
         assert read_csv(target) == series
 
-    @pytest.mark.parametrize(
-        "payload, fragment",
-        [
-            (b"", "empty"),
-            (b"value\n", "no data rows"),
-            (b"wrong\n1\n", "header"),
-            (b"value\n1.0\nabc\n", "row 2"),
-            (b"value\nabc\n", "row 1"),
-            (b"value\n1.0\n2.0,3.0\n", "row 2"),
-            (b"t,value\n0\n", "row 1"),
-            (b"value\ninf\n", "row 1"),
-            (b"value\n1.0\nnan\n", "row 2"),
-            (b"value\n1.0\n\n2.0\n", "row 2"),
-        ],
-    )
+    @pytest.mark.parametrize("payload, fragment", MALFORMED)
     def test_ingestion_errors_name_the_row(self, payload, fragment):
         with pytest.raises(IngestionError, match=fragment):
             read_csv(io.BytesIO(payload))
+
+
+def reference_read_csv(raw: bytes):
+    """The row-by-row parser that decoded the whole input before the block
+    parser replaced it, kept as the oracle for accepted values and errors."""
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise IngestionError(f"input is not valid UTF-8: {exc}") from None
+    lines = text.splitlines()
+    if not lines:
+        raise IngestionError("empty file")
+    header = lines[0].strip()
+    if header == "value":
+        has_times = False
+    elif header == "t,value":
+        has_times = True
+    else:
+        raise IngestionError(f"header must be 'value' or 't,value', got {header!r}")
+
+    def parse(token, row, column):
+        try:
+            value = float(token)
+        except ValueError:
+            raise IngestionError(f"row {row}: {column} is not a number: {token!r}") from None
+        if not np.isfinite(value):
+            raise IngestionError(f"row {row}: {column} is not finite: {token!r}")
+        return value
+
+    values, times = [], []
+    for row, line in enumerate(lines[1:], start=1):
+        line = line.strip()
+        if not line:
+            raise IngestionError(f"row {row}: blank line")
+        fields = line.split(",")
+        expected = 2 if has_times else 1
+        if len(fields) != expected:
+            raise IngestionError(f"row {row}: expected {expected} column(s), got {len(fields)}")
+        if has_times:
+            times.append(parse(fields[0], row, "t"))
+            values.append(parse(fields[1], row, "value"))
+        else:
+            values.append(parse(fields[0], row, "value"))
+    if not values:
+        raise IngestionError("no data rows")
+    return np.array(values), np.array(times) if has_times else None
+
+
+def outcome(parse, raw: bytes):
+    """The bits a parser returns for ``raw``, or the message it raises."""
+    try:
+        samples, times = parse(raw)
+    except IngestionError as exc:
+        return "error", str(exc)
+    return "ok", samples.tobytes(), None if times is None else times.tobytes()
+
+
+def block_outcome(raw: bytes, block_bytes: int):
+    def parse(data):
+        series = read_csv(io.BytesIO(data))
+        return series.samples, series.times
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(series_module, "_BLOCK_BYTES", block_bytes)
+        return outcome(parse, raw)
+
+
+EQUIVALENCE_CASES = [payload for payload, _ in MALFORMED] + [
+    b"value\r\n1\r\n2.5\r\n",
+    b"value\r1\r2.5\r",
+    b"value\r\n1\r2.5\n3\r\n",
+    b"value\x0c1\x0c2\n",
+    "value\u20281\u20282\u2029".encode(),
+    "value\x851\n".encode(),
+    b"value\x1c1\x1d2\x1e3\x0b4\n",
+    "value\n\u0661\n\uff11\uff12\n\xa01\n\u30002 \n".encode(),
+    "value\n1\xe9\n".encode(),
+    "t,value\n\u0660,\u0661\n".encode(),
+    b"value\n1\n2",
+    b"value\n1\n2\r",
+    b"value",
+    b"t,value",
+    b"t,value\r\n",
+    b"\n",
+    b"\r\n",
+    b"  \n1\n",
+    b" value \n1\n",
+    b"value\n1_0\n",
+    b"value\n1__0\n",
+    b"value\nnan\n",
+    b"value\n1e400\n",
+    b"value\n-1e400\n",
+    b"value\n1e-400\n-0\n5e-324\n",
+    b"value\n 1.5\t\n",
+    b"value\n\x1f1\n",
+    b"value\n1\x1f\n",
+    b"value\n   \n",
+    b"value\n0x10\n",
+    b"t,value\n0,1\n1,2\n",
+    b"t,value\n0,1\n1\n",
+    b"t,value\n0,1,2\n",
+    b"t,value\n0,nan\n",
+    b"t,value\nnan,0\n",
+    b"t,value\n0,\n",
+    b"t,value\n,1\n",
+    b"t,value\n 0 , 1 \n",
+    b"t,value\n\x1f0,1\x1f\n",
+    b"t,value\n0\x1f,1\n",
+    b"t,value\n1e400,1\n",
+    # Errors, and rows only the row loop accepts, past the first block.
+    b"value\n" + b"1.25\n" * 40 + b"x\n" + b"2\n" * 10,
+    b"value\n" + b"1.25\n" * 40 + b"inf\n",
+    b"value\n" + b"1.25\n" * 40 + b"1,2\n",
+    b"t,value\n" + b"0,1\n" * 40 + b"0,1,2\n",
+    b"t,value\n" + b"0,1\n" * 40 + b"\n0,1\n",
+    b"t,value\n" + b"0,1\n" * 40 + b"0,1e400\n",
+    b"value\n" + b"1\n" * 30 + b"\x1f2\n" + b"3\n" * 30,
+    # Invalid UTF-8, at the start, in later blocks, and after a row error.
+    b"\xffvalue\n1\n",
+    b"value\n1\n\xff\n",
+    b"value\n" + b"1\n" * 40 + b"\xe2\x82\n",
+    b"value\n" + b"1\n" * 40 + b"\xe2\x82",
+    b"value\n" + b"1\n" * 40 + b"\xed\xa0\x80\n",
+    b"value\nabc\n" + b"1\n" * 30 + b"\xff\n",
+    b"wrong\n" + b"1\n" * 30 + b"\xc3\n",
+]
+
+
+class TestBlockParserMatchesRowParser:
+    """Every input gives the row parser's bits or its exact error message,
+    wherever the block boundaries fall."""
+
+    BLOCK_SIZES = (1, 2, 3, 5, 8, 13, 64, 1 << 20)
+
+    @pytest.mark.parametrize("raw", EQUIVALENCE_CASES)
+    def test_same_outcome_at_every_block_size(self, raw):
+        expected = outcome(reference_read_csv, raw)
+        for block_bytes in self.BLOCK_SIZES:
+            assert block_outcome(raw, block_bytes) == expected, block_bytes
+
+    def test_generated_file_with_mixed_line_endings(self):
+        rng = np.random.default_rng(5)
+        values = np.concatenate([rng.normal(0, 1e3, 3000), [0.0, -0.0, 1e16, 5e-324]])
+        endings = rng.choice(["\n", "\r\n", "\r"], size=values.size)
+        raw = "value\n" + "".join(repr(x) + e for x, e in zip(values.tolist(), endings))
+        expected = outcome(reference_read_csv, raw.encode())
+        assert expected[0] == "ok"
+        for block_bytes in (7, 97, 4096, 1 << 20):
+            assert block_outcome(raw.encode(), block_bytes) == expected
+
+    TOKENS = ["1", "-2.5", " 3 ", "1e400", "nan", "1_0", "\x1f4", "", "x", "0,1", "1,", "\u0661", "5e-324"]
+    ENDINGS = ["\n", "\r\n", "\r", "\x0c", "\u2028"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        header=st.sampled_from(["value", "t,value", " value", "values"]),
+        rows=st.lists(
+            st.tuples(st.sampled_from(TOKENS), st.sampled_from(TOKENS), st.sampled_from(ENDINGS)),
+            max_size=12,
+        ),
+        bad_byte=st.one_of(st.none(), st.integers(0, 200)),
+        block_bytes=st.integers(1, 24),
+    )
+    def test_random_inputs(self, header, rows, bad_byte, block_bytes):
+        timed = header.strip() == "t,value"
+        text = header + "\n" + "".join(
+            (f"{a},{b}" if timed else a) + ending for a, b, ending in rows
+        )
+        raw = text.encode()
+        if bad_byte is not None:
+            at = bad_byte % (len(raw) + 1)
+            raw = raw[:at] + b"\xff" + raw[at:]
+        assert block_outcome(raw, block_bytes) == outcome(reference_read_csv, raw)
+
+
+class TestInvalidUtf8:
+    """The UTF-8 error names the byte position in the whole input."""
+
+    LATE_ROWS = 300_000  # 1.2 MB of rows: the bad byte lies past the first block
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            (
+                b"value\n1\n\xff\n",
+                "'utf-8' codec can't decode byte 0xff in position 8: invalid start byte",
+            ),
+            (
+                b"value\n" + b"1.5\n" * LATE_ROWS + b"\xff\n",
+                "'utf-8' codec can't decode byte 0xff in position 1200006: invalid start byte",
+            ),
+            (
+                b"value\n" + b"1.5\n" * LATE_ROWS + b"\xe2\x82",
+                "'utf-8' codec can't decode bytes in position 1200006-1200007: unexpected end of data",
+            ),
+            (
+                b"value\nabc\n" + b"1.5\n" * LATE_ROWS + b"\xc3(\n",
+                "'utf-8' codec can't decode byte 0xc3 in position 1200010: invalid continuation byte",
+            ),
+        ],
+    )
+    def test_read_csv_message(self, raw, message):
+        with pytest.raises(IngestionError) as excinfo:
+            read_csv(io.BytesIO(raw))
+        assert str(excinfo.value) == f"input is not valid UTF-8: {message}"
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            (
+                b"bin_midpoint,mass\n0,1\n\xff\n",
+                "'utf-8' codec can't decode byte 0xff in position 22: invalid start byte",
+            ),
+            (
+                b"bin_midpoint,mass\n" + b"0,0\n" * LATE_ROWS + b"\xe2\x82",
+                "'utf-8' codec can't decode bytes in position 1200018-1200019: unexpected end of data",
+            ),
+        ],
+    )
+    def test_read_distribution_csv_message(self, raw, message):
+        with pytest.raises(IngestionError) as excinfo:
+            read_distribution_csv(io.BytesIO(raw))
+        assert str(excinfo.value) == f"input is not valid UTF-8: {message}"
+
+    def test_late_inputs_span_more_than_one_block(self):
+        assert 4 * self.LATE_ROWS > series_module._BLOCK_BYTES
+
+    def test_message_is_pythons_own(self):
+        raw = b"value\n" + b"1.5\n" * self.LATE_ROWS + b"\xed\xa0\x80\n"
+        with pytest.raises(UnicodeDecodeError) as decoded:
+            raw.decode("utf-8")
+        with pytest.raises(IngestionError) as excinfo:
+            read_csv(io.BytesIO(raw))
+        assert str(excinfo.value) == f"input is not valid UTF-8: {decoded.value}"
+
+
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 1.0, -3.0, 1e16, -1e16, 5e-324, 1e22, 2.0**53, 0.1]),
+)
+
+
+def per_value_csv(header, *columns):
+    rows = (",".join(format_float(x) for x in row) + "\n" for row in zip(*columns))
+    return (header + "\n" + "".join(rows)).encode()
+
+
+class TestBlockFormatter:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(FINITE, min_size=1, max_size=24),
+        format_rows=st.integers(1, 8),
+        timed=st.booleans(),
+    )
+    def test_matches_per_value_format_float(self, values, format_rows, timed):
+        samples = np.array(values)
+        times = samples[::-1] if timed else None
+        series = TimeSeries(samples, times=times)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(series_module, "_FORMAT_ROWS", format_rows)
+            data = series_csv_bytes(series)
+        if timed:
+            assert data == per_value_csv("t,value", times, samples)
+        else:
+            assert data == per_value_csv("value", samples)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("timed", [False, True])
+    def test_lengths_around_the_block_size(self, offset, timed):
+        n = series_module._FORMAT_ROWS + offset
+        rng = np.random.default_rng(n)
+        samples = rng.normal(0, 1e3, n)
+        samples[rng.integers(0, n, 200)] = rng.integers(-50, 50, 200)
+        samples[-3:] = [-0.0, 1e16, 5e-324]
+        times = np.arange(n) * 0.5 if timed else None
+        data = series_csv_bytes(TimeSeries(samples, times=times))
+        if timed:
+            assert data == per_value_csv("t,value", times, samples)
+        else:
+            assert data == per_value_csv("value", samples)
+
+    @pytest.mark.parametrize("format_rows", [3, 1 << 16])
+    def test_distribution_bytes_match_per_value_format(self, format_rows):
+        rng = np.random.default_rng(9)
+        counts = rng.integers(0, 5, 4096).astype(float)
+        counts[0] += 1
+        dist = ProbabilityDistribution(np.arange(4097.0) - 7, counts / counts.sum())
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(series_module, "_FORMAT_ROWS", format_rows)
+            data = distribution_csv_bytes(dist)
+        assert data == per_value_csv("bin_midpoint,mass", dist.midpoints, dist.masses)
+
+
+class TestParseMemory:
+    def test_peak_is_bounded_by_result_and_one_block(self, tmp_path):
+        """The whole file, its lines and one float object per row (the row
+        parser's working set, ~31 MB here) would break this bound."""
+        rows = 1 << 18
+        series = generate_segmented(SegmentedGeneratorConfig(total_samples=rows, num_sigmas=4))
+        target = tmp_path / "series.csv"
+        write_csv(series, target)
+        tracemalloc.start()
+        try:
+            parsed = read_csv(target)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert parsed == series
+        assert peak < 3 * 8 * rows + 8 * series_module._BLOCK_BYTES
