@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import IngestionError, ParameterError
 from .local_variance import LocalVarianceSeries
-from .series import csv_bytes, read_lines, write_bytes
+from .series import csv_bytes, read_table, write_bytes
 
 __all__ = [
     "BINNINGS",
@@ -103,10 +103,10 @@ def estimate_pdf(variances, bins: int, binning: str = "linear") -> ProbabilityDi
         raise ParameterError("log binning needs a LocalVarianceSeries for its window and zero floor")
     else:
         values = np.asarray(variances, dtype=np.float64)
-    if values.ndim != 1 or values.size < 1:
-        raise ParameterError("need at least one variance value")
-    if not np.all(np.isfinite(values)) or np.any(values < 0):
-        raise ParameterError("variance values must be finite and nonnegative")
+        if values.ndim != 1 or values.size < 1:
+            raise ParameterError("need at least one variance value")
+        if not np.all(np.isfinite(values)) or np.any(values < 0):
+            raise ParameterError("variance values must be finite and nonnegative")
     if bins < 1:
         raise ParameterError(f"bins must be at least 1, got {bins}")
     if binning == "log":
@@ -170,26 +170,8 @@ def read_distribution_csv(source) -> ProbabilityDistribution:
     Edges are reconstructed between consecutive midpoints; a single-bin file
     uses a unit-width bin around its midpoint. Masses must sum to 1.
     """
-    lines = read_lines(source)
-    if lines[0].strip() != "bin_midpoint,mass":
-        raise IngestionError(f"header must be 'bin_midpoint,mass', got {lines[0]!r}")
-    midpoints: list[float] = []
-    masses: list[float] = []
-    for row, line in enumerate(lines[1:], start=1):
-        fields = line.strip().split(",")
-        if len(fields) != 2:
-            raise IngestionError(f"row {row}: expected 2 columns, got {len(fields)}")
-        try:
-            mid, mass = float(fields[0]), float(fields[1])
-        except ValueError:
-            raise IngestionError(f"row {row}: not a number: {line!r}") from None
-        if not (np.isfinite(mid) and np.isfinite(mass)):
-            raise IngestionError(f"row {row}: non-finite value: {line!r}")
-        midpoints.append(mid)
-        masses.append(mass)
-    if not midpoints:
-        raise IngestionError("no data rows")
-    mids = np.array(midpoints)
+    table = read_table(source, {"bin_midpoint,mass": ("bin_midpoint", "mass")})
+    mids, masses = table.T
     if mids.size > 1 and np.any(np.diff(mids) <= 0):
         raise IngestionError("bin midpoints must be strictly increasing")
     if mids.size == 1:
@@ -199,10 +181,7 @@ def read_distribution_csv(source) -> ProbabilityDistribution:
         first = mids[0] - (inner[0] - mids[0])
         last = mids[-1] + (mids[-1] - inner[-1])
         edges = np.concatenate(([first], inner, [last]))
-    total = float(np.sum(masses))
-    if abs(total - 1.0) > _SUM_TOLERANCE:
-        raise IngestionError(f"masses must sum to 1, got {total!r}")
     try:
-        return ProbabilityDistribution(edges, np.array(masses))
+        return ProbabilityDistribution(edges, masses)
     except ParameterError as exc:
         raise IngestionError(str(exc)) from None

@@ -13,7 +13,7 @@ import contextlib
 import itertools
 import os
 import stat
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,17 +48,14 @@ def format_float(x: float) -> str:
 
 @dataclass(frozen=True, eq=False)
 class TimeSeries:
-    """Ordered sequence of finite real samples with optional provenance.
+    """Ordered sequence of finite real samples.
 
     ``times`` holds the optional timestamp column of a two-column CSV; it is
     carried through round trips but ignored by every analysis. Equality
-    compares sample (and timestamp) values only, since ``name`` and
-    ``metadata`` are provenance.
+    compares sample (and timestamp) values.
     """
 
     samples: np.ndarray
-    name: str | None = None
-    metadata: dict[str, str] = field(default_factory=dict)
     times: np.ndarray | None = None
 
     def __post_init__(self) -> None:
@@ -163,18 +160,7 @@ def generate_segmented(config: SegmentedGeneratorConfig) -> TimeSeries:
         sigmas = rng.permutation(sigmas)
     lengths = segment_lengths(config.total_samples, config.num_sigmas)
     parts = [rng.normal(0.0, sigma, length) for sigma, length in zip(sigmas, lengths)]
-    samples = np.concatenate(parts)
-    metadata = {
-        "generator": "segmented",
-        "total_samples": str(config.total_samples),
-        "num_sigmas": str(config.num_sigmas),
-        "sigma_min": format_float(config.sigma_min),
-        "sigma_max": format_float(config.sigma_max),
-        "spacing": config.spacing,
-        "shuffle_segments": str(config.shuffle_segments).lower(),
-        "seed": str(config.seed),
-    }
-    return TimeSeries(samples, name="segmented", metadata=metadata)
+    return TimeSeries(np.concatenate(parts))
 
 
 def _parse_value(token: str, row: int, column: str) -> float:
@@ -213,19 +199,6 @@ def _decode(raw: bytes, offset: int) -> str:
         ) from None
 
 
-def read_lines(source) -> list[str]:
-    """Decode a binary stream or a file as UTF-8 and split it into lines.
-
-    Raises IngestionError if the bytes are not UTF-8 or hold no line.
-    """
-    with _open_binary(source) as handle:
-        raw = handle.read()
-    lines = _decode(raw, 0).splitlines()
-    if not lines:
-        raise IngestionError("empty file")
-    return lines
-
-
 def write_bytes(data: bytes, sink) -> None:
     """Write ``data`` to a binary stream, or atomically to a path.
 
@@ -262,23 +235,28 @@ def write_bytes(data: bytes, sink) -> None:
         raise
 
 
-_BLOCK_BYTES = 1 << 20
+# Below glibc's default mmap threshold (128 KiB): asking for 1 MiB to read a
+# small file raised the peak RSS of a process that reads many such files by
+# about 1 MB, and larger blocks parse no faster.
+_BLOCK_BYTES = 1 << 16
 _FORMAT_ROWS = 1 << 16
 
 
 def _blocks(handle):
     """Yield ``(offset, block)`` pieces of a binary stream, in order.
 
-    Each block holds about ``_BLOCK_BYTES`` and ends just after a ``b"\\n"``,
-    except the last, which ends where the stream does. A cut there never
-    splits a UTF-8 character or a ``\\r\\n`` pair, so the lines of the
+    Each block holds about ``_BLOCK_BYTES`` and ends just after its last
+    ``b"\\n"`` or ``b"\\r"``, except the last, which ends where the stream
+    does. A ``b"\\r"`` that is the last byte read may be half of a
+    ``\\r\\n`` pair, so it waits for the next read. A cut therefore never
+    splits a UTF-8 character or a ``\\r\\n`` pair, and the lines of the
     decoded blocks are the lines of the whole input. A stretch with no
-    ``b"\\n"`` stays in one block.
+    ``b"\\n"`` or ``b"\\r"`` stays in one block.
     """
     offset = 0
     pending: list[bytes] = []
     while data := handle.read(_BLOCK_BYTES):
-        cut = data.rfind(b"\n") + 1
+        cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, len(data) - 1)) + 1
         if cut == 0:
             pending.append(data)
             continue
@@ -293,18 +271,16 @@ def _blocks(handle):
         yield offset, tail
 
 
-def _header_has_times(line: str) -> bool:
+def _columns(line: str, headers: dict[str, tuple[str, ...]]) -> tuple[str, ...]:
     header = line.strip()
-    if header == "value":
-        return False
-    if header == "t,value":
-        return True
-    raise IngestionError(f"header must be 'value' or 't,value', got {header!r}")
+    if header in headers:
+        return headers[header]
+    accepted = " or ".join(repr(key) for key in headers)
+    raise IngestionError(f"header must be {accepted}, got {header!r}")
 
 
-def _parse_rows(lines: list[str], first_row: int, has_times: bool) -> np.ndarray:
+def _parse_rows(lines: list[str], first_row: int, names: tuple[str, ...]) -> np.ndarray:
     """Parse data rows one at a time; errors name the 1-based row."""
-    names = ("t", "value") if has_times else ("value",)
     expected = len(names)
     values: list[list[float]] = []
     for row, line in enumerate(lines, start=first_row):
@@ -320,7 +296,7 @@ def _parse_rows(lines: list[str], first_row: int, has_times: bool) -> np.ndarray
     return np.array(values, dtype=np.float64)
 
 
-def _parse_block(lines: list[str], first_row: int, has_times: bool) -> np.ndarray:
+def _parse_block(lines: list[str], first_row: int, names: tuple[str, ...]) -> np.ndarray:
     """Parse data rows into an ``(n, columns)`` array, all at once if possible.
 
     ``np.array`` converts each str with ``float()``, so it accepts the same
@@ -330,28 +306,28 @@ def _parse_block(lines: list[str], first_row: int, has_times: bool) -> np.ndarra
     makes valid, such as a leading ``\\x1f``).
     """
     try:
-        if has_times:
+        if len(names) > 1:
             table = np.array([line.split(",") for line in lines], dtype=np.float64)
         else:
             table = np.array(lines, dtype=np.float64).reshape(len(lines), 1)
     except ValueError:
         table = None
-    expected = (len(lines), 2 if has_times else 1)
+    expected = (len(lines), len(names))
     if table is not None and table.shape == expected and np.isfinite(table).all():
         return table
-    return _parse_rows(lines, first_row, has_times)
+    return _parse_rows(lines, first_row, names)
 
 
-def read_csv(source) -> TimeSeries:
-    """Parse a series from a CSV byte stream or path.
+def read_table(source, headers: dict[str, tuple[str, ...]]) -> np.ndarray:
+    """Parse a CSV byte stream or path into an ``(n, columns)`` float64 array.
 
-    The first line must be the header ``value`` or ``t,value``. Every data
-    row must hold finite numbers; errors name the offending data row
-    (1-based, header excluded). The input is read in blocks of about 1 MiB,
-    so parsing holds one block at a time plus the parsed values, 8 bytes
-    per row (16 with ``t``).
+    ``headers`` maps each accepted header line to its column names. Every
+    data row must hold finite numbers; errors name the offending data row
+    (1-based, header excluded) and column. The input is read in blocks of
+    about 64 KiB, so parsing holds one block at a time plus the parsed
+    values, 8 bytes per value.
     """
-    has_times: bool | None = None
+    names: tuple[str, ...] | None = None
     parts: list[np.ndarray] = []
     rows = 0
     error: IngestionError | None = None
@@ -363,23 +339,34 @@ def read_csv(source) -> TimeSeries:
             if error is not None:
                 continue
             try:
-                if has_times is None:
-                    has_times = _header_has_times(lines[0])
+                if names is None:
+                    names = _columns(lines[0], headers)
                     del lines[0]
                 if lines:
-                    parts.append(_parse_block(lines, rows + 1, has_times))
+                    parts.append(_parse_block(lines, rows + 1, names))
             except IngestionError as exc:
                 error = exc
             rows += len(lines)
     if error is not None:
         raise error
-    if has_times is None:
+    if names is None:
         raise IngestionError("empty file")
     if not rows:
         raise IngestionError("no data rows")
-    table = np.concatenate(parts)
-    del parts  # freed before TimeSeries copies the columns
-    if has_times:
+    return np.concatenate(parts)
+
+
+def read_csv(source) -> TimeSeries:
+    """Parse a series from a CSV byte stream or path.
+
+    The first line must be the header ``value`` or ``t,value``. Every data
+    row must hold finite numbers; errors name the offending data row
+    (1-based, header excluded). The input is read in blocks of about 64 KiB,
+    so parsing holds one block at a time plus the parsed values, 8 bytes
+    per row (16 with ``t``).
+    """
+    table = read_table(source, {"value": ("value",), "t,value": ("t", "value")})
+    if table.shape[1] == 2:
         return TimeSeries(table[:, 1], times=table[:, 0])
     return TimeSeries(table[:, 0])
 

@@ -18,6 +18,7 @@ from hetquant import (
     uniform_reference,
     write_distribution_csv,
 )
+from hetquant import series as series_module
 
 
 class TestEstimatePdf:
@@ -208,6 +209,18 @@ class TestDistributionCsv:
         back = read_distribution_csv(target)
         assert np.array_equal(back.masses, dist.masses)
 
+    def test_4096_bins_read_back_bit_identical(self):
+        rng = np.random.default_rng(11)
+        samples = rng.normal(0, 1, 1 << 16) * np.repeat([1.0, 3.0, 9.0, 27.0], 1 << 14)
+        dist = estimate_pdf(local_variance(TimeSeries(samples), window=32), 4096, "log")
+        data = distribution_csv_bytes(dist)
+        back = read_distribution_csv(io.BytesIO(data))
+        assert back.masses.tobytes() == dist.masses.tobytes()
+        columns = {"bin_midpoint,mass": ("bin_midpoint", "mass")}
+        table = series_module.read_table(io.BytesIO(data), columns)
+        assert table[:, 0].tobytes() == dist.midpoints.tobytes()
+        np.testing.assert_allclose(back.midpoints, dist.midpoints, atol=1e-12)
+
     @pytest.mark.parametrize(
         "payload, fragment",
         [
@@ -218,6 +231,15 @@ class TestDistributionCsv:
             (b"bin_midpoint,mass\n0.5,0.5\nx,0.5\n", "row 2"),
             (b"bin_midpoint,mass\n1,0.25\n2,0.25\n", "sum to 1"),
             (b"bin_midpoint,mass\n2,0.5\n1,0.5\n", "increasing"),
+            (b"bin_midpoint,mass\nx,1\n", r"^row 1: bin_midpoint is not a number: 'x'$"),
+            (b"bin_midpoint,mass\n0,1\n1,x\n", r"^row 2: mass is not a number: 'x'$"),
+            (b"bin_midpoint,mass\n-inf,1\n", r"^row 1: bin_midpoint is not finite: '-inf'$"),
+            (b"bin_midpoint,mass\n0.5,inf\n", r"^row 1: mass is not finite: 'inf'$"),
+            (b"bin_midpoint,mass\n1\n", r"^row 1: expected 2 column\(s\), got 1$"),
+            (b"bin_midpoint,mass\n0,1,2\n", r"^row 1: expected 2 column\(s\), got 3$"),
+            (b"bin_midpoint,mass\n0,0.5\n\n1,0.5\n", r"^row 2: blank line$"),
+            (b" midpoint,mass \n1,1\n", r"^header must be 'bin_midpoint,mass', got 'midpoint,mass'$"),
+            (b"bin_midpoint,mass\n0,-0.5\n1,0.25\n", r"^masses must be finite and nonnegative$"),
         ],
     )
     def test_ingestion_errors(self, payload, fragment):

@@ -91,8 +91,6 @@ class TestGenerator:
         config = SegmentedGeneratorConfig(total_samples=1000, num_sigmas=3, seed=5)
         series = generate_segmented(config)
         assert len(series) == 1000
-        assert series.metadata["num_sigmas"] == "3"
-        assert series.metadata["seed"] == "5"
 
     def test_unit_sigma_sample_variance(self):
         config = SegmentedGeneratorConfig(
@@ -168,11 +166,6 @@ class TestTimeSeries:
     def test_times_must_match_length(self):
         with pytest.raises(ParameterError):
             TimeSeries(np.array([1.0, 2.0]), times=np.array([0.0]))
-
-    def test_value_equality_ignores_provenance(self):
-        a = TimeSeries(np.array([1.0, 2.0]), name="a", metadata={"seed": "1"})
-        b = TimeSeries(np.array([1.0, 2.0]), name="b")
-        assert a == b
 
 
 class TestFloatFormatting:
@@ -426,6 +419,62 @@ class TestBlockParserMatchesRowParser:
         assert block_outcome(raw, block_bytes) == outcome(reference_read_csv, raw)
 
 
+def distribution_outcome(raw: bytes, block_bytes: int):
+    """The edge and mass bits ``read_distribution_csv`` returns for ``raw``,
+    or the message it raises, with blocks of ``block_bytes``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(series_module, "_BLOCK_BYTES", block_bytes)
+        try:
+            dist = read_distribution_csv(io.BytesIO(raw))
+        except IngestionError as exc:
+            return "error", str(exc)
+    return "ok", dist.edges.tobytes(), dist.masses.tobytes()
+
+
+DISTRIBUTION_ROWS = "".join(f"{i / 4},0.03125\n" for i in range(32)).encode()
+
+DISTRIBUTION_CASES = [
+    b"bin_midpoint,mass\n" + DISTRIBUTION_ROWS,
+    b"bin_midpoint,mass\r\n" + DISTRIBUTION_ROWS.replace(b"\n", b"\r\n"),
+    b"bin_midpoint,mass\r" + DISTRIBUTION_ROWS.replace(b"\n", b"\r"),
+    b"bin_midpoint,mass\n" + DISTRIBUTION_ROWS.rstrip(b"\n"),
+    b"bin_midpoint,mass\n0.5,0.25\r\n1.5,0.75\r2.5,0\n",
+    b" bin_midpoint,mass \n-2.5,1\n",
+    # Errors past the first block, and invalid UTF-8 that outranks them.
+    b"bin_midpoint,mass\n" + DISTRIBUTION_ROWS + b"99,x\n",
+    b"bin_midpoint,mass\n" + DISTRIBUTION_ROWS + b"\n",
+    b"bin_midpoint,mass\n" + DISTRIBUTION_ROWS + b"0,0\n",
+    b"bin_midpoint,mass\n" + DISTRIBUTION_ROWS + b"99,0.5\n",
+    b"bin_midpoint,mass\n" + DISTRIBUTION_ROWS + b"\xff\n",
+    b"bin_midpoint,mass\n" + DISTRIBUTION_ROWS + b"\xe2\x82",
+    b"bin_midpoint,mass\nx,1\n" + DISTRIBUTION_ROWS + b"\xc3\n",
+]
+
+
+class TestDistributionBlockSizes:
+    """``read_distribution_csv`` gives the same bits, or the same message,
+    wherever the block boundaries fall."""
+
+    @pytest.mark.parametrize("raw", DISTRIBUTION_CASES)
+    def test_same_outcome_at_every_block_size(self, raw):
+        whole = distribution_outcome(raw, len(raw) + 1)
+        for block_bytes in TestBlockParserMatchesRowParser.BLOCK_SIZES:
+            assert distribution_outcome(raw, block_bytes) == whole, block_bytes
+
+    def test_cases_cover_success_and_each_kind_of_error(self):
+        outcomes = [distribution_outcome(raw, 1 << 20) for raw in DISTRIBUTION_CASES]
+        assert [o[0] for o in outcomes[:6]] == ["ok"] * 6
+        assert [o[1] for o in outcomes[6:]] == [
+            "row 33: mass is not a number: 'x'",
+            "row 33: blank line",
+            "bin midpoints must be strictly increasing",
+            "masses must sum to 1, got 1.5",
+            "input is not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 418: invalid start byte",
+            "input is not valid UTF-8: 'utf-8' codec can't decode bytes in position 418-419: unexpected end of data",
+            "input is not valid UTF-8: 'utf-8' codec can't decode byte 0xc3 in position 422: invalid continuation byte",
+        ]
+
+
 class TestInvalidUtf8:
     """The UTF-8 error names the byte position in the whole input."""
 
@@ -545,13 +594,15 @@ class TestBlockFormatter:
 
 
 class TestParseMemory:
-    def test_peak_is_bounded_by_result_and_one_block(self, tmp_path):
+    @pytest.mark.parametrize("ending", [b"\n", b"\r"])
+    def test_peak_is_bounded_by_result_and_one_block(self, tmp_path, ending):
         """The whole file, its lines and one float object per row (the row
-        parser's working set, ~31 MB here) would break this bound."""
+        parser's working set, ~31 MB here) would break this bound, as would
+        holding a file whose lines end in a lone ``\\r`` as one block."""
         rows = 1 << 18
         series = generate_segmented(SegmentedGeneratorConfig(total_samples=rows, num_sigmas=4))
         target = tmp_path / "series.csv"
-        write_csv(series, target)
+        target.write_bytes(series_csv_bytes(series).replace(b"\n", ending))
         tracemalloc.start()
         try:
             parsed = read_csv(target)
