@@ -16,8 +16,8 @@ from math import log, sqrt
 import numpy as np
 
 from .errors import IngestionError, ParameterError
-from .local_variance import LocalVarianceSeries
-from .series import csv_bytes, read_table, write_bytes
+from .local_variance import LocalVarianceSeries, variance_array
+from .series import csv_bytes, frozen_array, read_table, write_bytes
 
 __all__ = [
     "BINNINGS",
@@ -42,25 +42,19 @@ class ProbabilityDistribution:
     masses: np.ndarray
 
     def __post_init__(self) -> None:
-        edges = np.asarray(self.edges, dtype=np.float64)
-        masses = np.asarray(self.masses, dtype=np.float64)
-        if edges.ndim != 1 or edges.size < 2:
+        edges = frozen_array(self.edges, "edges")
+        masses = frozen_array(self.masses, "masses")
+        if edges.size < 2:
             raise ParameterError("edges must hold at least two boundaries")
-        if masses.ndim != 1 or masses.size != edges.size - 1:
+        if masses.size != edges.size - 1:
             raise ParameterError("masses must hold exactly one value per bin")
-        if not np.all(np.isfinite(edges)):
-            raise ParameterError("edges must be finite")
         if np.any(np.diff(edges) <= 0):
             raise ParameterError("edges must be strictly increasing")
-        if np.any(masses < 0) or not np.all(np.isfinite(masses)):
+        if np.any(masses < 0):
             raise ParameterError("masses must be finite and nonnegative")
         total = float(masses.sum())
         if abs(total - 1.0) > _SUM_TOLERANCE:
             raise ParameterError(f"masses must sum to 1, got {total!r}")
-        edges = edges.copy()
-        masses = masses.copy()
-        edges.flags.writeable = False
-        masses.flags.writeable = False
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "masses", masses)
 
@@ -102,11 +96,7 @@ def estimate_pdf(variances, bins: int, binning: str = "linear") -> ProbabilityDi
     elif binning == "log":
         raise ParameterError("log binning needs a LocalVarianceSeries for its window and zero floor")
     else:
-        values = np.asarray(variances, dtype=np.float64)
-        if values.ndim != 1 or values.size < 1:
-            raise ParameterError("need at least one variance value")
-        if not np.all(np.isfinite(values)) or np.any(values < 0):
-            raise ParameterError("variance values must be finite and nonnegative")
+        values = variance_array(variances)
     if bins < 1:
         raise ParameterError(f"bins must be at least 1, got {bins}")
     if binning == "log":
@@ -167,15 +157,18 @@ def write_distribution_csv(dist: ProbabilityDistribution, sink) -> None:
 def read_distribution_csv(source) -> ProbabilityDistribution:
     """Parse a ``bin_midpoint,mass`` CSV back into a distribution.
 
-    Edges are reconstructed between consecutive midpoints; a single-bin file
-    uses a unit-width bin around its midpoint. Masses must sum to 1.
+    Edges are reconstructed between consecutive midpoints. A single-bin
+    file gets the narrowest bin around its midpoint, one ``np.spacing`` to
+    either side, whose midpoint is the file's to the bit (short of the
+    largest floats, where the edge sum overflows). Masses must sum to 1.
     """
     table = read_table(source, {"bin_midpoint,mass": ("bin_midpoint", "mass")})
     mids, masses = table.T
     if mids.size > 1 and np.any(np.diff(mids) <= 0):
         raise IngestionError("bin midpoints must be strictly increasing")
     if mids.size == 1:
-        edges = np.array([mids[0] - 0.5, mids[0] + 0.5])
+        step = np.spacing(abs(mids[0]))
+        edges = np.array([mids[0] - step, mids[0] + step])
     else:
         inner = (mids[:-1] + mids[1:]) / 2.0
         first = mids[0] - (inner[0] - mids[0])

@@ -17,13 +17,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalError, ParameterError
-from .series import TimeSeries
+from .series import TimeSeries, frozen_array
 
 __all__ = ["LocalVarianceSeries", "local_variance"]
 
 # Results below minus the larger of this and the zero floor are treated as
 # numerical corruption rather than rounding.
 _NEGATIVE_TOLERANCE = 1e-9
+
+
+def variance_array(values) -> np.ndarray:
+    """``frozen_array`` copy of ``values``, which must be nonempty and nonnegative."""
+    variances = frozen_array(values, "variances")
+    if variances.size < 1:
+        raise ParameterError("variances must hold at least one value")
+    if (variances < 0).any():
+        raise ParameterError("variances must be nonnegative")
+    return variances
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,17 +50,11 @@ class LocalVarianceSeries:
     zero_floor: float = 0.0
 
     def __post_init__(self) -> None:
-        variances = np.asarray(self.variances, dtype=np.float64)
-        if variances.ndim != 1 or variances.size < 1:
-            raise ParameterError("variances must be a nonempty one-dimensional array")
-        if np.any(variances < 0) or not np.all(np.isfinite(variances)):
-            raise ParameterError("variances must be finite and nonnegative")
+        variances = variance_array(self.variances)
         if self.window < 2:
             raise ParameterError("window must be at least 2")
         if not (np.isfinite(self.zero_floor) and self.zero_floor >= 0):
             raise ParameterError("zero_floor must be finite and nonnegative")
-        variances = variances.copy()
-        variances.flags.writeable = False
         object.__setattr__(self, "variances", variances)
 
     def __len__(self) -> int:
@@ -102,7 +106,8 @@ def local_variance(series: TimeSeries, window: int) -> LocalVarianceSeries:
     does not grow with the series length and does not depend on the
     platform's ``long double``. Negative outputs from rounding are clamped
     to zero; anything below minus the larger of 1e-9 and the zero floor
-    raises an internal error.
+    raises an internal error. Samples whose window sums of squares overflow
+    float64 (magnitudes from about 1e154 up) raise ``ParameterError``.
 
     The zero floor bounds that rounding to first order. With unit roundoff
     u = eps/2 and M a window's mean square: the mean square carries the d
@@ -120,14 +125,18 @@ def local_variance(series: TimeSeries, window: int) -> LocalVarianceSeries:
         raise ParameterError(f"window must be at least 2, got {window}")
     if window > n:
         raise ParameterError(f"window ({window}) exceeds series length ({n})")
-    x = series.samples - series.samples.mean()
-    mean = _window_sums(x, window)
-    mean /= window
-    mean_sq = _window_sums(x * x, window)
-    mean_sq /= window
-    variances = mean_sq - mean * mean
+    # Overflow turns up as a zero floor that is not finite, checked below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = series.samples - series.samples.mean()
+        mean = _window_sums(x, window)
+        mean /= window
+        mean_sq = _window_sums(x * x, window)
+        mean_sq /= window
+        variances = mean_sq - mean * mean
     depth_terms = int(window).bit_length() + int(window).bit_count()
     zero_floor = float(1.5 * depth_terms * np.finfo(np.float64).eps * mean_sq.max())
+    if not np.isfinite(zero_floor):
+        raise ParameterError("samples are too large: their window sums of squares overflow float64")
     lowest = variances.min()
     if lowest < -max(_NEGATIVE_TOLERANCE, zero_floor):
         raise InternalError(

@@ -46,6 +46,17 @@ def format_float(x: float) -> str:
     return text
 
 
+def frozen_array(values, name: str) -> np.ndarray:
+    """Read-only float64 copy of ``values``, which must be 1-D and finite."""
+    array = np.array(values, dtype=np.float64)
+    if array.ndim != 1:
+        raise ParameterError(f"{name} must be one-dimensional")
+    if not np.isfinite(array).all():
+        raise ParameterError(f"{name} must be finite")
+    array.flags.writeable = False
+    return array
+
+
 @dataclass(frozen=True, eq=False)
 class TimeSeries:
     """Ordered sequence of finite real samples.
@@ -59,24 +70,14 @@ class TimeSeries:
     times: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        samples = np.asarray(self.samples, dtype=np.float64)
-        if samples.ndim != 1:
-            raise ParameterError("samples must be one-dimensional")
+        samples = frozen_array(self.samples, "samples")
         if samples.size < 1:
             raise ParameterError("series must contain at least one sample")
-        if not np.all(np.isfinite(samples)):
-            raise ParameterError("samples must be finite")
-        samples = samples.copy()
-        samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
         if self.times is not None:
-            times = np.asarray(self.times, dtype=np.float64)
-            if times.shape != samples.shape:
+            times = frozen_array(self.times, "times")
+            if times.size != samples.size:
                 raise ParameterError("times must match samples in length")
-            if not np.all(np.isfinite(times)):
-                raise ParameterError("times must be finite")
-            times = times.copy()
-            times.flags.writeable = False
             object.__setattr__(self, "times", times)
 
     def __len__(self) -> int:
@@ -371,19 +372,29 @@ def read_csv(source) -> TimeSeries:
     return TimeSeries(table[:, 0])
 
 
-def csv_bytes(header: str, *columns: np.ndarray) -> bytes:
-    """Encode equal-length float columns as CSV under ``header``, LF endings.
+def csv_bytes(header: str, *columns) -> bytes:
+    """Encode equal-length columns as CSV under ``header``, LF endings.
 
-    Each value is written as ``format_float`` writes it: ``repr``, without
-    a trailing ``.0``. Rows are formatted in blocks of ``_FORMAT_ROWS``.
+    A column is a numpy array or a sequence of Python numbers or strings.
+    A number is written as ``format_float`` writes it: ``repr``, without a
+    trailing ``.0``; a string is written as is and must not end in ``.0``.
+    Rows are formatted in blocks of ``_FORMAT_ROWS``; no columns give the
+    header line alone.
     """
     out = [header.encode("utf-8") + b"\n"]
-    for start in range(0, len(columns[0]), _FORMAT_ROWS):
-        texts = [map(repr, c[start : start + _FORMAT_ROWS].tolist()) for c in columns]
+    for start in range(0, len(columns[0]) if columns else 0, _FORMAT_ROWS):
+        texts = [_field_texts(c[start : start + _FORMAT_ROWS]) for c in columns]
         rows = texts[0] if len(texts) == 1 else map(",".join, zip(*texts))
         text = "\n".join(rows) + "\n"
         out.append(text.replace(".0\n", "\n").replace(".0,", ",").encode("utf-8"))
     return b"".join(out)
+
+
+def _field_texts(values):
+    """The fields of one block of a column: strings as they are, numbers by ``repr``."""
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    return values if isinstance(values[0], str) else map(repr, values)
 
 
 def series_csv_bytes(series: TimeSeries) -> bytes:

@@ -12,7 +12,6 @@ parallelism level.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -24,7 +23,7 @@ from .distribution import estimate_pdf
 from .errors import ConfigurationError, CorrelationUndefinedError, ParameterError
 from .local_variance import local_variance
 from .measure import METRIC_ORDER, MeasureConfig, score_distribution
-from .series import SegmentedGeneratorConfig, format_float, generate_segmented
+from .series import SegmentedGeneratorConfig, csv_bytes, generate_segmented
 
 __all__ = [
     "SweepConfig",
@@ -229,24 +228,11 @@ class SweepReport:
         return out
 
     def report_csv_bytes(self) -> bytes:
-        out = io.StringIO()
-        out.write("k,window,seed,metric,score\n")
-        for row in self.rows:
-            out.write(
-                f"{row.k},{row.window},{row.seed},{row.metric},{format_float(row.score)}\n"
-            )
-        return out.getvalue().encode("utf-8")
+        return csv_bytes("k,window,seed,metric,score", *zip(*self.rows))
 
     def summary_csv_bytes(self) -> bytes:
-        ks = sorted(self.config.sigma_counts)
-        out = io.StringIO()
-        out.write("window,metric,spearman")
-        for k in ks:
-            out.write(f",mean_score_k{k}")
-        out.write("\n")
-        for row in self.summary_rows():
-            out.write(f"{row.window},{row.metric},{format_float(row.spearman)}")
-            for mean in row.mean_scores:
-                out.write(f",{format_float(mean)}")
-            out.write("\n")
-        return out.getvalue().encode("utf-8")
+        header = "window,metric,spearman" + "".join(
+            f",mean_score_k{k}" for k in sorted(self.config.sigma_counts)
+        )
+        rows = [(r.window, r.metric, r.spearman, *r.mean_scores) for r in self.summary_rows()]
+        return csv_bytes(header, *zip(*rows))

@@ -5,6 +5,7 @@ import os
 import stat
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -232,6 +233,20 @@ class TestAnalyze:
             "error: ingestion: input is not valid UTF-8: 'utf-8' codec can't decode "
             "byte 0xff in position 8: invalid start byte\n"
         )
+
+    def test_overflowing_samples_exit_one_without_warnings(self, tmp_path, capsys):
+        big = tmp_path / "big.csv"
+        big.write_bytes(b"value\n" + b"1e200\n-1e200\n" * 64)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "analyze", "--input", str(big), "--window", "8")
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: parameter: samples are too large: "
+            "their window sums of squares overflow float64\n"
+        )
+        assert caught == []
 
     def test_standard_input_scores_like_the_path(self, tmp_path, capsys):
         target = tmp_path / "series.csv"

@@ -209,6 +209,13 @@ class TestDistributionCsv:
         back = read_distribution_csv(target)
         assert np.array_equal(back.masses, dist.masses)
 
+    @pytest.mark.parametrize("midpoint", [0.1257302210933933, 0.3, 1e17, -1e300])
+    def test_one_bin_file_reads_back_its_midpoint_bits(self, midpoint):
+        data = f"bin_midpoint,mass\n{midpoint!r},1\n".encode()
+        back = read_distribution_csv(io.BytesIO(data))
+        assert back.midpoints.tobytes() == np.array([midpoint]).tobytes()
+        assert distribution_csv_bytes(back) == data
+
     def test_4096_bins_read_back_bit_identical(self):
         rng = np.random.default_rng(11)
         samples = rng.normal(0, 1, 1 << 16) * np.repeat([1.0, 3.0, 9.0, 27.0], 1 << 14)

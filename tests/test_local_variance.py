@@ -1,5 +1,7 @@
 """Box-filter variance against a naive two-pass oracle, plus LTI properties."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -69,6 +71,22 @@ class TestValidation:
     def test_container_rejects_bad_zero_floor(self, floor):
         with pytest.raises(ParameterError):
             LocalVarianceSeries(np.array([0.1]), window=2, zero_floor=floor)
+
+    @pytest.mark.parametrize(
+        "samples",
+        [np.tile([1e200, -1e200], 8), np.full(8, 1.7e308), np.tile([1e154, -1e154], 8)],
+        ids=["squares-overflow", "mean-overflows", "sums-overflow"],
+    )
+    def test_overflowing_samples_raise_one_error_and_no_warning(self, samples):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="^samples are too large: .*overflow float64$"):
+                local_variance(TimeSeries(samples), window=4)
+
+    def test_largest_samples_whose_squares_fit_are_accepted(self):
+        result = local_variance(TimeSeries(np.tile([1e150, -1e150], 8)), window=4)
+        np.testing.assert_allclose(result.variances, 1e300)
+        assert np.isfinite(result.zero_floor)
 
 
 class TestZeroFloor:

@@ -500,6 +500,7 @@ class TestInvalidUtf8:
                 "'utf-8' codec can't decode byte 0xc3 in position 1200010: invalid continuation byte",
             ),
         ],
+        ids=["early-start-byte", "late-start-byte", "late-end-of-data", "late-continuation-byte"],
     )
     def test_read_csv_message(self, raw, message):
         with pytest.raises(IngestionError) as excinfo:
@@ -518,6 +519,7 @@ class TestInvalidUtf8:
                 "'utf-8' codec can't decode bytes in position 1200018-1200019: unexpected end of data",
             ),
         ],
+        ids=["early-start-byte", "late-end-of-data"],
     )
     def test_read_distribution_csv_message(self, raw, message):
         with pytest.raises(IngestionError) as excinfo:

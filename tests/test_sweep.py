@@ -16,6 +16,8 @@ from hetquant import (
     ParameterError,
     SegmentedGeneratorConfig,
     SweepConfig,
+    SweepReport,
+    format_float,
     generate_segmented,
     measure,
     run_sweep,
@@ -213,6 +215,47 @@ class TestSummary:
         for row in run_sweep(config).summary_rows():
             assert math.isnan(row.spearman)
             assert np.all(np.isfinite(row.mean_scores))
+
+
+class TestCsvBytes:
+    """Both report encodings equal a field-by-field ``format_float`` oracle."""
+
+    @staticmethod
+    def report_oracle(report):
+        lines = ["k,window,seed,metric,score"]
+        for r in report.rows:
+            lines.append(f"{r.k},{r.window},{r.seed},{r.metric},{format_float(r.score)}")
+        return ("\n".join(lines) + "\n").encode()
+
+    @staticmethod
+    def summary_oracle(report):
+        ks = sorted(report.config.sigma_counts)
+        lines = ["window,metric,spearman" + "".join(f",mean_score_k{k}" for k in ks)]
+        for r in report.summary_rows():
+            fields = [str(r.window), r.metric, format_float(r.spearman)]
+            lines.append(",".join(fields + [format_float(m) for m in r.mean_scores]))
+        return ("\n".join(lines) + "\n").encode()
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            SweepConfig(
+                sigma_counts=(4, 1, 4, 2), windows=(16, 8), bins=8, total_samples=512,
+                seeds=(3, 1, 3),
+            ),
+            SweepConfig(sigma_counts=(1,), windows=(8,), bins=8, total_samples=256, seeds=(1, 2)),
+        ],
+        ids=["unsorted-duplicates", "one-k-nan-spearman"],
+    )
+    def test_report_and_summary_match_oracle(self, config):
+        report = run_sweep(config)
+        assert report.report_csv_bytes() == self.report_oracle(report)
+        assert report.summary_csv_bytes() == self.summary_oracle(report)
+
+    def test_empty_report_is_its_header_line(self):
+        report = SweepReport(rows=(), config=SMALL)
+        assert report.report_csv_bytes() == b"k,window,seed,metric,score\n"
+        assert report.report_csv_bytes() == self.report_oracle(report)
 
 
 class TestValidation:
