@@ -22,8 +22,9 @@ from .series import (
     format_float,
     generate_segmented,
     read_csv,
-    series_csv_bytes,
+    series_csv_bytes,  # not called here; kept for perfbench/spans.py, which hooks this name
     write_bytes,
+    write_csv,
 )
 from .sweep import SweepConfig, run_sweep
 
@@ -143,7 +144,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     series = generate_segmented(config)
-    write_bytes(series_csv_bytes(series), args.out)
+    write_csv(series, args.out)
     return 0
 
 

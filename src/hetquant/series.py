@@ -13,6 +13,7 @@ import contextlib
 import itertools
 import os
 import stat
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -200,17 +201,22 @@ def _decode(raw: bytes, offset: int) -> str:
         ) from None
 
 
-def write_bytes(data: bytes, sink) -> None:
-    """Write ``data`` to a binary stream, or atomically to a path.
+def write_bytes(data: bytes | Iterable[bytes], sink) -> None:
+    """Write ``data``, bytes or an iterable of byte chunks, to a binary
+    stream, or atomically to a path.
 
-    A path is written through a temporary file in the same directory that
-    is then renamed over it, so the path holds either its old contents or
-    all of ``data``, never part of it. The file gets the permissions
-    ``open(path, "wb")`` would give it: those of the file it replaces, or
-    0o666 less the umask for a new one.
+    Chunks are written in order as they arrive, so they are never all held
+    at once. A path is written through a temporary file in the same
+    directory that is then renamed over it, so the path holds either its
+    old contents or all of ``data``, never part of it, even when the
+    chunks fail midway. The file gets the permissions ``open(path, "wb")``
+    would give it: those of the file it replaces, or 0o666 less the umask
+    for a new one.
     """
+    chunks = (data,) if isinstance(data, (bytes, bytearray, memoryview)) else data
     if not isinstance(sink, (str, os.PathLike)):
-        sink.write(data)
+        for chunk in chunks:
+            sink.write(chunk)
         return
     directory = os.path.dirname(os.path.abspath(sink))
     for attempt in itertools.count():
@@ -222,7 +228,8 @@ def write_bytes(data: bytes, sink) -> None:
         break
     try:
         with handle:
-            handle.write(data)
+            for chunk in chunks:
+                handle.write(chunk)
         try:
             os.chmod(tmp, stat.S_IMODE(os.stat(sink).st_mode))
         except FileNotFoundError:
@@ -234,6 +241,30 @@ def write_bytes(data: bytes, sink) -> None:
         except OSError:
             pass
         raise
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else every CPU of the machine."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def process_pool(workers: int):
+    """A ``concurrent.futures`` process pool of ``workers`` processes.
+
+    The executor is imported here, on first use, so that importing the
+    package loads neither ``concurrent.futures`` nor ``multiprocessing``.
+    Workers start by the platform's default method: ``fork`` on Linux up to
+    Python 3.13, which starts a pool far sooner than ``spawn``, whose
+    workers must each import numpy first. Everything a worker needs
+    reaches it as arguments.
+    """
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=workers)
 
 
 # Below glibc's default mmap threshold (128 KiB): asking for 1 MiB to read a
@@ -372,22 +403,43 @@ def read_csv(source) -> TimeSeries:
     return TimeSeries(table[:, 0])
 
 
-def csv_bytes(header: str, *columns) -> bytes:
-    """Encode equal-length columns as CSV under ``header``, LF endings.
+def csv_chunks(header: str, *columns) -> Iterator[bytes]:
+    """Encode equal-length columns as CSV under ``header``, LF endings,
+    yielding the header line and then one chunk per block of rows.
 
     A column is a numpy array or a sequence of Python numbers or strings.
     A number is written as ``format_float`` writes it: ``repr``, without a
     trailing ``.0``; a string is written as is and must not end in ``.0``.
-    Rows are formatted in blocks of ``_FORMAT_ROWS``; no columns give the
-    header line alone.
+    Rows are formatted in blocks of ``_FORMAT_ROWS``. When there are two
+    blocks or more and this process may use more than one CPU, the blocks
+    are formatted in a process pool, one worker per usable CPU, and still
+    yielded in order. No columns give the header line alone.
     """
-    out = [header.encode("utf-8") + b"\n"]
-    for start in range(0, len(columns[0]) if columns else 0, _FORMAT_ROWS):
-        texts = [_field_texts(c[start : start + _FORMAT_ROWS]) for c in columns]
-        rows = texts[0] if len(texts) == 1 else map(",".join, zip(*texts))
-        text = "\n".join(rows) + "\n"
-        out.append(text.replace(".0\n", "\n").replace(".0,", ",").encode("utf-8"))
-    return b"".join(out)
+    yield header.encode("utf-8") + b"\n"
+    rows = len(columns[0]) if columns else 0
+    blocks = [
+        tuple(c[start : start + _FORMAT_ROWS] for c in columns)
+        for start in range(0, rows, _FORMAT_ROWS)
+    ]
+    workers = min(len(blocks), usable_cpus())
+    if workers < 2:
+        yield from map(_encode_block, blocks)
+        return
+    with process_pool(workers) as pool:
+        yield from pool.map(_encode_block, blocks)
+
+
+def csv_bytes(header: str, *columns) -> bytes:
+    """The CSV that ``csv_chunks`` encodes, joined."""
+    return b"".join(csv_chunks(header, *columns))
+
+
+def _encode_block(columns: tuple) -> bytes:
+    """The CSV rows of one block of equal-length column slices."""
+    texts = [_field_texts(c) for c in columns]
+    rows = texts[0] if len(texts) == 1 else map(",".join, zip(*texts))
+    text = "\n".join(rows) + "\n"
+    return text.replace(".0\n", "\n").replace(".0,", ",").encode("utf-8")
 
 
 def _field_texts(values):
@@ -397,13 +449,18 @@ def _field_texts(values):
     return values if isinstance(values[0], str) else map(repr, values)
 
 
+def _series_csv_chunks(series: TimeSeries) -> Iterator[bytes]:
+    if series.times is None:
+        return csv_chunks("value", series.samples)
+    return csv_chunks("t,value", series.times, series.samples)
+
+
 def series_csv_bytes(series: TimeSeries) -> bytes:
     """Canonical CSV encoding: LF endings, shortest round-trip floats."""
-    if series.times is None:
-        return csv_bytes("value", series.samples)
-    return csv_bytes("t,value", series.times, series.samples)
+    return b"".join(_series_csv_chunks(series))
 
 
 def write_csv(series: TimeSeries, sink) -> None:
-    """Write the canonical CSV encoding of ``series`` to a binary sink or path."""
-    write_bytes(series_csv_bytes(series), sink)
+    """Write the canonical CSV encoding of ``series`` to a binary sink or
+    path, one block of rows at a time."""
+    write_bytes(_series_csv_chunks(series), sink)

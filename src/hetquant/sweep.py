@@ -23,7 +23,7 @@ from .distribution import estimate_pdf
 from .errors import ConfigurationError, CorrelationUndefinedError, ParameterError
 from .local_variance import local_variance
 from .measure import METRIC_ORDER, MeasureConfig, score_distribution
-from .series import SegmentedGeneratorConfig, csv_bytes, generate_segmented
+from .series import SegmentedGeneratorConfig, csv_bytes, generate_segmented, process_pool
 
 __all__ = [
     "SweepConfig",
@@ -172,10 +172,7 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> "SweepReport":
         seeds = [t[0] for t in tasks]
         ks = [t[1] for t in tasks]
         chunksize = max(1, len(tasks) // (workers * 4))
-        # Imported here so that only pooled runs pay for loading multiprocessing.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with process_pool(workers) as pool:
             for cell in pool.map(partial(_cell_rows, config), seeds, ks, chunksize=chunksize):
                 rows.extend(cell)
     rows.sort(key=lambda r: (r.k, r.window, r.seed, r.metric))
@@ -198,8 +195,14 @@ class SweepReport:
         return index
 
     def scores(self, window: int, metric: str, seed: int) -> list[float]:
-        """Scores for one seed and window, ordered by ascending k."""
+        """Scores for one seed and window, ordered by ascending k; a k
+        with no row in the report raises ``ParameterError``."""
         picked = self._scores_by_cell.get((window, metric, seed), {})
+        missing = set(self.config.sigma_counts) - picked.keys()
+        if missing:
+            raise ParameterError(
+                f"report has no {metric} score for k={min(missing)}, window={window}, seed={seed}"
+            )
         return [picked[k] for k in sorted(self.config.sigma_counts)]
 
     def summary_rows(self) -> list[SummaryRow]:

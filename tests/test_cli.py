@@ -469,6 +469,15 @@ class TestStartup:
         )
         assert loaded.strip() == "[]"
 
+    def test_one_block_generate_loads_no_process_pool(self, tmp_path):
+        loaded = run_fresh(
+            "import sys\nfrom hetquant.cli import main\n"
+            "assert main(sys.argv[1:]) == 0\n"
+            "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])",
+            "generate", "--samples", "4096", "--out", str(tmp_path / "s.csv"),
+        )
+        assert loaded.strip() == "[]"
+
     def test_two_workers_match_one_after_lean_import(self, tmp_path):
         """The process pool's deferred import works in a fresh CLI process."""
         cli = "import sys\nfrom hetquant.cli import main\nsys.exit(main(sys.argv[1:]))"

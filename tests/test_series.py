@@ -1,6 +1,8 @@
 """Generator and CSV contracts: partitioning, determinism, round trips."""
 
 import io
+import os
+import stat
 import tracemalloc
 
 import numpy as np
@@ -14,12 +16,14 @@ from hetquant import (
     ParameterError,
     ProbabilityDistribution,
     SegmentedGeneratorConfig,
+    SweepConfig,
     TimeSeries,
     distribution_csv_bytes,
     format_float,
     generate_segmented,
     read_csv,
     read_distribution_csv,
+    run_sweep,
     segment_lengths,
     series_csv_bytes,
     sigma_values,
@@ -593,6 +597,147 @@ class TestBlockFormatter:
             patch.setattr(series_module, "_FORMAT_ROWS", format_rows)
             data = distribution_csv_bytes(dist)
         assert data == per_value_csv("bin_midpoint,mass", dist.midpoints, dist.masses)
+
+
+EXTREMES = [3.0, -0.0, 1e16, 5e-324, 1.7976931348623157e308, -42.0, 0.0]
+
+
+def spanning_series(timed: bool, rows: int = 100) -> TimeSeries:
+    """Random values, integral ones, and the extremes of the float format."""
+    rng = np.random.default_rng(rows)
+    samples = rng.normal(0, 1e3, rows)
+    samples[::9] = rng.integers(-50, 50, samples[::9].size)
+    samples[-len(EXTREMES):] = EXTREMES
+    return TimeSeries(samples, times=np.arange(rows) * 0.25 - 3 if timed else None)
+
+
+def series_oracle(series: TimeSeries) -> bytes:
+    if series.times is None:
+        return per_value_csv("value", series.samples)
+    return per_value_csv("t,value", series.times, series.samples)
+
+
+def refuse_pool(workers):
+    raise AssertionError(f"a pool of {workers} was started")
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Blocks of 7 rows; the list of the worker counts of the pools started."""
+    monkeypatch.setattr(series_module, "_FORMAT_ROWS", 7)
+    started = []
+    real_pool = series_module.process_pool
+    monkeypatch.setattr(
+        series_module, "process_pool", lambda workers: started.append(workers) or real_pool(workers)
+    )
+    return started
+
+
+class TestPooledEncoding:
+    """Blocks formatted in a process pool give the serial encoder's bytes."""
+
+    @staticmethod
+    def serial_and_pooled(monkeypatch, pools, encode):
+        """``encode()`` on one usable CPU and then on two; checks that only
+        the second started a pool."""
+        monkeypatch.setattr(series_module, "usable_cpus", lambda: 1)
+        serial = encode()
+        assert pools == []
+        monkeypatch.setattr(series_module, "usable_cpus", lambda: 2)
+        pooled = encode()
+        assert pools == [2]
+        return serial, pooled
+
+    @pytest.mark.parametrize("timed", [False, True])
+    def test_series_csv_bytes(self, monkeypatch, pools, timed):
+        series = spanning_series(timed)
+        serial, pooled = self.serial_and_pooled(monkeypatch, pools, lambda: series_csv_bytes(series))
+        assert pooled == serial == series_oracle(series)
+
+    @pytest.mark.parametrize("timed", [False, True])
+    def test_file_write_csv_writes(self, monkeypatch, pools, tmp_path, timed):
+        series, target = spanning_series(timed), tmp_path / "series.csv"
+
+        def encode():
+            write_csv(series, target)
+            return target.read_bytes()
+
+        serial, pooled = self.serial_and_pooled(monkeypatch, pools, encode)
+        assert pooled == serial == series_oracle(series)
+
+    def test_distribution_csv_bytes(self, monkeypatch, pools):
+        masses = np.resize([1.0, 2.0, 0.5, 0.0, 3.0], 60)
+        edges = np.concatenate([[-1e16], np.arange(1.0, 60.0), [1.7976931348623157e308]])
+        dist = ProbabilityDistribution(edges, masses / masses.sum())
+        serial, pooled = self.serial_and_pooled(monkeypatch, pools, lambda: distribution_csv_bytes(dist))
+        assert pooled == serial == per_value_csv("bin_midpoint,mass", dist.midpoints, dist.masses)
+
+    def test_report_csv_bytes(self, monkeypatch, pools):
+        report = run_sweep(
+            SweepConfig(sigma_counts=(1, 2), windows=(8,), bins=8, total_samples=256, seeds=(1, 2, 3))
+        )
+        serial, pooled = self.serial_and_pooled(monkeypatch, pools, report.report_csv_bytes)
+        rows = (",".join(map(str, r[:4])) + f",{format_float(r.score)}\n" for r in report.rows)
+        assert pooled == serial == ("k,window,seed,metric,score\n" + "".join(rows)).encode()
+
+    def test_workers_are_capped_at_the_block_count(self, monkeypatch, pools):
+        monkeypatch.setattr(series_module, "usable_cpus", lambda: 64)
+        series = spanning_series(False, rows=10)
+        assert series_csv_bytes(series) == series_oracle(series)
+        assert pools == [2]
+
+    def test_one_block_starts_no_pool(self, monkeypatch):
+        monkeypatch.setattr(series_module, "usable_cpus", lambda: 64)
+        monkeypatch.setattr(series_module, "process_pool", refuse_pool)
+        series = spanning_series(True)
+        assert series_csv_bytes(series) == series_oracle(series)
+
+    def test_one_allowed_cpu_starts_no_pool(self, monkeypatch):
+        monkeypatch.setattr(series_module, "_FORMAT_ROWS", 7)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(series_module, "process_pool", refuse_pool)
+        series = spanning_series(True)
+        assert series_csv_bytes(series) == series_oracle(series)
+
+    def test_cpu_lookup_prefers_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert series_module.usable_cpus() == 2
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert series_module.usable_cpus() == 8
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert series_module.usable_cpus() == 1
+
+
+class TestStreamedWrite:
+    def test_failing_chunks_leave_the_target_as_it_was(self, tmp_path):
+        target = tmp_path / "out.csv"
+        target.write_bytes(b"old\n")
+        target.chmod(0o640)
+
+        def chunks():
+            yield b"value\n1\n"
+            raise RuntimeError("chunk failed")
+
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            series_module.write_bytes(chunks(), target)
+        assert target.read_bytes() == b"old\n"
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    def test_stream_sink_receives_the_chunks_in_order(self):
+        class Sink:
+            def __init__(self):
+                self.writes = []
+
+            def write(self, data):
+                self.writes.append(bytes(data))
+
+        chunks = [b"value\n", b"1\n2\n", b"", b"3\n"]
+        sink = Sink()
+        series_module.write_bytes(iter(chunks), sink)
+        assert sink.writes == chunks
 
 
 class TestParseMemory:

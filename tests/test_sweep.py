@@ -258,6 +258,26 @@ class TestCsvBytes:
         assert report.report_csv_bytes() == self.report_oracle(report)
 
 
+class TestMissingCells:
+    """A report without a score for some (window, metric, seed, k) cannot
+    be summarized; the error names the first such cell."""
+
+    def test_empty_report(self):
+        report = SweepReport(rows=(), config=SweepConfig())
+        message = "report has no H_B score for k=1, window=32, seed=1"
+        with pytest.raises(ParameterError, match=message):
+            report.summary_rows()
+        with pytest.raises(ParameterError, match=message):
+            report.summary_csv_bytes()
+
+    def test_one_dropped_row(self):
+        full = run_sweep(SMALL)
+        rows = tuple(r for r in full.rows if (r.k, r.window, r.seed, r.metric) != (4, 32, 2, "H_H"))
+        assert len(rows) == len(full.rows) - 1
+        with pytest.raises(ParameterError, match="no H_H score for k=4, window=32, seed=2"):
+            SweepReport(rows=rows, config=SMALL).summary_csv_bytes()
+
+
 class TestValidation:
     def test_empty_lists_rejected(self):
         with pytest.raises(ConfigurationError):
