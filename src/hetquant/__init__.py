@@ -7,110 +7,22 @@ Tsallis, Jensen-Shannon, Hellinger) and a reproducible sweep harness
 accompany the score.
 """
 
-from .distribution import (
-    ProbabilityDistribution,
-    distribution_csv_bytes,
-    estimate_pdf,
-    read_distribution_csv,
-    uniform_reference,
-    write_distribution_csv,
-)
-from .divergence import (
-    METRICS,
-    DivergenceResult,
-    bhattacharyya_coefficient,
-    bhattacharyya_distance,
-    evaluate,
-    hellinger_affinity,
-    hellinger_standard,
-    jensen_shannon_divergence,
-    kl_divergence,
-    renyi_divergence,
-    renyi_entropy,
-    shannon_entropy,
-    tsallis_divergence,
-)
-from .errors import (
-    BinningMismatchError,
-    ConfigurationError,
-    CorrelationUndefinedError,
-    HetquantError,
-    IngestionError,
-    InternalError,
-    ParameterError,
-)
-from .local_variance import LocalVarianceSeries, local_variance
-from .measure import MeasureConfig, MeasureReport, measure, measure_from_distribution
-from .series import (
-    SegmentedGeneratorConfig,
-    TimeSeries,
-    format_float,
-    generate_segmented,
-    read_csv,
-    segment_lengths,
-    series_csv_bytes,
-    sigma_values,
-    write_csv,
-)
-from .sweep import (
-    METRIC_ORDER,
-    SummaryRow,
-    SweepConfig,
-    SweepReport,
-    SweepRow,
-    run_sweep,
-    spearman,
-)
+from . import distribution, divergence, errors, local_variance, measure, series, sweep
+
+# The package exports exactly its modules' public names. Collected before the
+# star imports, which rebind ``local_variance`` and ``measure`` to functions.
+__all__ = [
+    name
+    for module in (distribution, divergence, errors, local_variance, measure, series, sweep)
+    for name in module.__all__
+]
+
+from .distribution import *
+from .divergence import *
+from .errors import *
+from .local_variance import *
+from .measure import *
+from .series import *
+from .sweep import *
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "TimeSeries",
-    "SegmentedGeneratorConfig",
-    "generate_segmented",
-    "segment_lengths",
-    "sigma_values",
-    "read_csv",
-    "write_csv",
-    "series_csv_bytes",
-    "format_float",
-    "LocalVarianceSeries",
-    "local_variance",
-    "ProbabilityDistribution",
-    "estimate_pdf",
-    "uniform_reference",
-    "distribution_csv_bytes",
-    "write_distribution_csv",
-    "read_distribution_csv",
-    "DivergenceResult",
-    "METRICS",
-    "bhattacharyya_coefficient",
-    "bhattacharyya_distance",
-    "hellinger_affinity",
-    "hellinger_standard",
-    "kl_divergence",
-    "renyi_divergence",
-    "tsallis_divergence",
-    "jensen_shannon_divergence",
-    "shannon_entropy",
-    "renyi_entropy",
-    "evaluate",
-    "MeasureConfig",
-    "MeasureReport",
-    "measure",
-    "measure_from_distribution",
-    "SweepConfig",
-    "SweepReport",
-    "SweepRow",
-    "SummaryRow",
-    "METRIC_ORDER",
-    "run_sweep",
-    "spearman",
-    "HetquantError",
-    "ConfigurationError",
-    "ParameterError",
-    "IngestionError",
-    "BinningMismatchError",
-    "CorrelationUndefinedError",
-    "InternalError",
-]

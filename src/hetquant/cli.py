@@ -10,7 +10,9 @@ partial file behind.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
+from typing import TypeVar
 
 from .distribution import BINNINGS, distribution_csv_bytes, read_distribution_csv
 from .divergence import LOG_BASES, METRICS, evaluate
@@ -65,7 +67,7 @@ def _add_generator_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sigma-min", type=float, default=SegmentedGeneratorConfig.sigma_min, help="smallest segment standard deviation")
     parser.add_argument("--sigma-max", type=float, default=SegmentedGeneratorConfig.sigma_max, help="largest segment standard deviation")
     parser.add_argument("--spacing", choices=SPACINGS, default=SegmentedGeneratorConfig.spacing, help="sigma grid spacing")
-    parser.add_argument("--shuffle", action="store_true", help="permute segment order with the seeded RNG")
+    parser.add_argument("--shuffle", dest="shuffle_segments", action="store_true", help="permute segment order with the seeded RNG")
 
 
 def _build_parser() -> _Parser:
@@ -81,7 +83,7 @@ def _build_parser() -> _Parser:
         help="write a seeded segmented-variance Gaussian series to CSV",
         formatter_class=fmt,
     )
-    gen.add_argument("--samples", type=int, required=True, help="total number of samples")
+    gen.add_argument("--samples", dest="total_samples", metavar="SAMPLES", type=int, required=True, help="total number of samples")
     gen.add_argument("--num-sigmas", type=int, default=SegmentedGeneratorConfig.num_sigmas, help="number of variance segments k")
     _add_generator_flags(gen)
     gen.add_argument("--seed", type=int, default=SegmentedGeneratorConfig.seed, help="64-bit RNG seed")
@@ -123,7 +125,10 @@ def _build_parser() -> _Parser:
     swp.add_argument("--windows", type=_int_list, default=SweepConfig.windows, help="comma-separated window widths")
     swp.add_argument("--bins", type=int, default=SweepConfig.bins, help="histogram bin count B")
     _add_binning_flag(swp)
-    swp.add_argument("--samples", type=int, default=SweepConfig.total_samples, help="samples per generated series")
+    swp.add_argument(
+        "--samples", dest="total_samples", metavar="SAMPLES", type=int,
+        default=SweepConfig.total_samples, help="samples per generated series",
+    )
     swp.add_argument("--seeds", type=_int_list, default=SweepConfig.seeds, help="comma-separated RNG seeds")
     _add_generator_flags(swp)
     swp.add_argument("--workers", type=int, default=1, help="parallel worker processes")
@@ -133,25 +138,22 @@ def _build_parser() -> _Parser:
     return parser
 
 
+_Config = TypeVar("_Config")
+
+
+def _config(cls: type[_Config], args: argparse.Namespace) -> _Config:
+    """The config ``cls`` built from the flags whose destinations name its fields."""
+    return cls(**{field.name: getattr(args, field.name) for field in dataclasses.fields(cls)})
+
+
 def _cmd_generate(args: argparse.Namespace) -> int:
-    config = SegmentedGeneratorConfig(
-        total_samples=args.samples,
-        num_sigmas=args.num_sigmas,
-        sigma_min=args.sigma_min,
-        sigma_max=args.sigma_max,
-        spacing=args.spacing,
-        shuffle_segments=args.shuffle,
-        seed=args.seed,
-    )
-    series = generate_segmented(config)
+    series = generate_segmented(_config(SegmentedGeneratorConfig, args))
     write_csv(series, args.out)
     return 0
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    config = MeasureConfig(
-        window=args.window, bins=args.bins, variant=args.variant, binning=args.binning
-    )
+    config = _config(MeasureConfig, args)
     series = read_csv(sys.stdin.buffer if args.input == "-" else args.input)
     report = measure(series, config)
     if args.emit_distribution:
@@ -182,19 +184,7 @@ def _cmd_divergence(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    config = SweepConfig(
-        sigma_counts=args.sigma_counts,
-        windows=args.windows,
-        bins=args.bins,
-        total_samples=args.samples,
-        seeds=args.seeds,
-        sigma_min=args.sigma_min,
-        sigma_max=args.sigma_max,
-        spacing=args.spacing,
-        shuffle_segments=args.shuffle,
-        binning=args.binning,
-    )
-    report = run_sweep(config, workers=args.workers)
+    report = run_sweep(_config(SweepConfig, args), workers=args.workers)
     write_bytes(report.report_csv_bytes(), args.out)
     if args.summary:
         write_bytes(report.summary_csv_bytes(), args.summary)

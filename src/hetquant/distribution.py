@@ -20,7 +20,6 @@ from .local_variance import LocalVarianceSeries, variance_array
 from .series import csv_bytes, frozen_array, read_table, write_bytes
 
 __all__ = [
-    "BINNINGS",
     "ProbabilityDistribution",
     "estimate_pdf",
     "uniform_reference",

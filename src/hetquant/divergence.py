@@ -20,8 +20,6 @@ __all__ = [
     "DivergenceResult",
     "bhattacharyya_coefficient",
     "bhattacharyya_distance",
-    "distance_from_coefficient",
-    "affinity_from_coefficient",
     "hellinger_affinity",
     "hellinger_standard",
     "kl_divergence",
@@ -32,7 +30,6 @@ __all__ = [
     "renyi_entropy",
     "evaluate",
     "METRICS",
-    "LOG_BASES",
 ]
 
 LOG_BASES = ("natural", "base2")
@@ -69,15 +66,26 @@ def _check_alpha(alpha: float) -> float:
         raise ParameterError(f"alpha must be positive, got {alpha}")
     if alpha == 1.0:
         raise ParameterError("alpha = 1 is the KL limit; call kl_divergence")
+    if not math.isfinite(alpha):
+        raise ParameterError(f"alpha must be finite, got {alpha}")
     return alpha
 
 
 def _power_sum(p: np.ndarray, q: np.ndarray, alpha: float) -> float:
-    """Sum of p_i^alpha * q_i^(1-alpha), or +inf when the formula demands it."""
+    """Sum of p_i^alpha * q_i^(1-alpha), or +inf when the formula demands it.
+
+    Raises ``ParameterError`` when the sum leaves float64 range. A zero sum
+    with alpha > 1 can only come from underflow, since every positive p-mass
+    then faces a positive q-mass.
+    """
     mask = p > 0
     if alpha > 1 and bool(np.any(mask & (q == 0))):
         return math.inf
-    return float(np.sum(p[mask] ** alpha * q[mask] ** (1.0 - alpha)))
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        total = float(np.sum(p[mask] ** alpha * q[mask] ** (1.0 - alpha)))
+    if not math.isfinite(total) or (total == 0.0 and alpha > 1):
+        raise ParameterError(f"alpha = {alpha} takes the power sum out of float64 range")
+    return total
 
 
 def bhattacharyya_coefficient(
@@ -204,8 +212,8 @@ def renyi_entropy(
     """Order-alpha Renyi entropy log(sum p^a) / (1 - a); ln B on uniforms."""
     alpha = _check_alpha(alpha)
     _check_log_base(log_base)
-    masses = p.masses[p.masses > 0]
-    total = float(np.sum(masses**alpha))
+    # The power sum against q = 1, whose factors 1^(1-alpha) are exactly 1.
+    total = _power_sum(p.masses, np.ones_like(p.masses), alpha)
     value = _scalar_log(total, log_base) / (1.0 - alpha)
     return _clamp_rounding(value)
 
@@ -254,6 +262,7 @@ def evaluate(
         raise ParameterError(
             f"unknown metric {metric!r}; choose from {sorted(METRICS)}"
         )
+    _check_log_base(log_base)
     function, needs_q, needs_alpha, uses_base, bounded = _METRIC_TABLE[metric]
     if needs_q and q is None:
         raise ParameterError(f"metric {metric!r} requires a second distribution")

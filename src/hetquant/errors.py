@@ -7,6 +7,16 @@ failures map to exit code 1, I/O failures to exit code 2.
 
 from __future__ import annotations
 
+__all__ = [
+    "HetquantError",
+    "ConfigurationError",
+    "ParameterError",
+    "IngestionError",
+    "BinningMismatchError",
+    "CorrelationUndefinedError",
+    "InternalError",
+]
+
 
 class HetquantError(Exception):
     """Base class for all library errors."""

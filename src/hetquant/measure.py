@@ -28,8 +28,6 @@ __all__ = [
     "MeasureReport",
     "measure",
     "measure_from_distribution",
-    "score_distribution",
-    "VARIANTS",
 ]
 
 # The scores score_distribution returns, in order.

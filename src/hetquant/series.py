@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import math
 import os
 import stat
 from collections.abc import Iterable, Iterator
@@ -30,7 +31,6 @@ __all__ = [
     "write_csv",
     "series_csv_bytes",
     "format_float",
-    "SPACINGS",
 ]
 
 SPACINGS = ("linear", "logarithmic")
@@ -119,6 +119,8 @@ class SegmentedGeneratorConfig:
             raise ConfigurationError("sigma_min must be positive")
         if self.sigma_max < self.sigma_min:
             raise ConfigurationError("sigma_max must be at least sigma_min")
+        if not math.isfinite(self.sigma_max):
+            raise ConfigurationError("sigma_max must be finite")
         if self.spacing not in SPACINGS:
             raise ConfigurationError(f"spacing must be one of {SPACINGS}")
         if not 0 <= self.seed < 2**64:

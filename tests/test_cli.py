@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, output formats, and atomicity."""
 
+import dataclasses
 import math
 import os
 import stat
@@ -16,13 +17,14 @@ from hetquant import (
     MeasureConfig,
     ProbabilityDistribution,
     SegmentedGeneratorConfig,
+    SweepConfig,
     format_float,
     generate_segmented,
     measure,
     read_csv,
     write_distribution_csv,
 )
-from hetquant.cli import main
+from hetquant.cli import _build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -372,6 +374,22 @@ class TestDivergence:
         assert code == 1
         assert "error: binning:" in err
 
+    def test_too_large_alpha_exits_one_without_warnings(self, tmp_path, capsys):
+        path = tmp_path / "uniform.csv"
+        write_distribution_csv(
+            ProbabilityDistribution(np.linspace(0.0, 1.0, 17), np.full(16, 1 / 16)), path
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(
+                capsys,
+                "divergence", "--p", str(path), "--metric", "renyi_entropy", "--alpha", "1000",
+            )
+        assert code == 1
+        assert out == ""
+        assert err == "error: parameter: alpha = 1000.0 takes the power sum out of float64 range\n"
+        assert caught == []
+
     def test_unknown_metric_is_a_usage_error(self, dist_files, capsys):
         p_path, _ = dist_files
         code, _, err = run_cli(
@@ -444,6 +462,43 @@ class TestTopLevel:
         code, _, err = run_cli(capsys, "generate", "--samples", "8", "--frobnicate")
         assert code == 1
         assert "error: usage:" in err
+
+    @pytest.mark.parametrize("command", [("generate", "--samples", "64"), ("sweep",)])
+    def test_infinite_sigma_max_exits_one_without_warnings(self, tmp_path, capsys, command):
+        target = tmp_path / "out.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(
+                capsys, *command, "--sigma-max", "inf", "--out", str(target)
+            )
+        assert code == 1
+        assert out == ""
+        assert err == "error: configuration: sigma_max must be finite\n"
+        assert caught == []
+        assert not target.exists()
+
+
+class TestFlagsMatchConfigs:
+    """Each command builds its config from the flags named after its fields."""
+
+    @pytest.mark.parametrize(
+        "argv, config_class",
+        [
+            (["generate", "--samples", "8", "--out", "s.csv"], SegmentedGeneratorConfig),
+            (["analyze", "--input", "s.csv"], MeasureConfig),
+            (["sweep", "--out", "r.csv"], SweepConfig),
+        ],
+    )
+    def test_every_config_field_has_a_flag(self, argv, config_class):
+        args = _build_parser().parse_args(argv)
+        fields = {field.name for field in dataclasses.fields(config_class)}
+        assert fields <= set(vars(args))
+
+    @pytest.mark.parametrize("command", ["generate", "sweep"])
+    def test_samples_flag_keeps_its_metavar(self, capsys, command):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert "--samples SAMPLES" in capsys.readouterr().out
 
 
 def run_fresh(script: str, *argv: str, stdin: str | None = None) -> str:

@@ -193,7 +193,7 @@ class TestRenyi:
     def test_disjoint_supports_are_infinite(self):
         assert math.isinf(renyi_divergence(dist(1.0, 0.0), dist(0.0, 1.0), 0.5))
 
-    @pytest.mark.parametrize("alpha", [0.0, -0.5, 1.0])
+    @pytest.mark.parametrize("alpha", [0.0, -0.5, 1.0, math.inf, 5000.0])
     def test_invalid_alpha(self, alpha):
         with pytest.raises(ParameterError):
             renyi_divergence(dist(0.5, 0.5), dist(0.5, 0.5), alpha)
@@ -230,7 +230,7 @@ class TestTsallis:
             for alpha in (0.5, 2.0):
                 assert tsallis_divergence(p, q, alpha) >= 0.0
 
-    @pytest.mark.parametrize("alpha", [0.0, -2.0, 1.0])
+    @pytest.mark.parametrize("alpha", [0.0, -2.0, 1.0, math.inf, 5000.0])
     def test_invalid_alpha(self, alpha):
         with pytest.raises(ParameterError):
             tsallis_divergence(dist(0.5, 0.5), dist(0.5, 0.5), alpha)
@@ -293,7 +293,7 @@ class TestEntropies:
             gap = abs(renyi_entropy(p, 0.999) - shannon_entropy(p))
             assert gap < 1e-2
 
-    @pytest.mark.parametrize("alpha", [0.0, -1.0, 1.0])
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, 1.0, math.inf, 5000.0])
     def test_invalid_alpha(self, alpha):
         with pytest.raises(ParameterError):
             renyi_entropy(dist(0.5, 0.5), alpha)
@@ -366,6 +366,7 @@ class TestEvaluateDispatcher:
             (dict(metric="shannon_entropy", p=dist(1.0), q=dist(1.0)), "only one"),
             (dict(metric="renyi", p=dist(1.0), q=dist(1.0)), "requires alpha"),
             (dict(metric="bc", p=dist(1.0), q=dist(1.0), alpha=0.5), "not a parameter"),
+            (dict(metric="bc", p=dist(1.0), q=dist(1.0), log_base="bogus"), "log_base"),
         ],
     )
     def test_parameter_validation(self, kwargs, fragment):

@@ -139,6 +139,8 @@ class TestGenerator:
             dict(total_samples=4, num_sigmas=1, sigma_min=0.0),
             dict(total_samples=4, num_sigmas=1, sigma_min=-1.0),
             dict(total_samples=4, num_sigmas=2, sigma_min=2.0, sigma_max=1.0),
+            dict(total_samples=4, num_sigmas=1, sigma_max=float("inf")),
+            dict(total_samples=4, num_sigmas=1, sigma_max=float("nan")),
             dict(total_samples=4, num_sigmas=1, spacing="cubic"),
             dict(total_samples=4, num_sigmas=1, seed=-1),
             dict(total_samples=4, num_sigmas=1, seed=2**64),
