@@ -99,42 +99,38 @@ def estimate_pdf(variances, bins: int, binning: str = "linear") -> ProbabilityDi
     if bins < 1:
         raise ParameterError(f"bins must be at least 1, got {bins}")
     if binning == "log":
-        return _log_pdf(values, bins, variances.window, variances.zero_floor)
-    top = float(values.max())
-    if top <= 0.0:
-        top = 1.0
-    edges = np.linspace(0.0, top, bins + 1)
-    counts, _ = np.histogram(values, bins=edges)
-    masses = counts / counts.sum()
-    return ProbabilityDistribution(edges, masses)
+        edges, counting = _log_edges(values, bins, variances.window, variances.zero_floor)
+    else:
+        top = float(values.max())
+        if top <= 0.0:
+            top = 1.0
+        edges = counting = np.linspace(0.0, top, bins + 1)
+    occupied, _ = np.histogram(values, bins=counting)
+    counts = np.zeros(bins)
+    counts[: occupied.size] = occupied
+    return ProbabilityDistribution(edges, counts / counts.sum())
 
 
-def _log_pdf(values: np.ndarray, bins: int, window: int, zero_floor: float) -> ProbabilityDistribution:
+def _log_edges(values: np.ndarray, bins: int, window: int, zero_floor: float) -> tuple:
+    """The log binning's ln-variance edges, and the variance edges that count them."""
+    # Counting the raw values against exp(edges) gives the counts of
+    # ln(values) against edges without a log of every value. The first
+    # counting edge is 0, so residues at or below the floor join the first
+    # bin; inner edges above ln(top) hold nothing and are left out, which
+    # keeps every counting edge finite at any span.
     width = sqrt(2.0 / (window - 1))
     top = float(values.max())
     if top <= zero_floor:
-        edges = np.arange(bins + 1) * width
-        masses = np.zeros(bins)
-        masses[0] = 1.0
-        return ProbabilityDistribution(edges, masses)
+        return np.arange(bins + 1) * width, np.array([0.0, np.inf])
     low = float(values.min())
     if low <= zero_floor:
         low = float(values[values > zero_floor].min())
     lo, hi = log(low), log(top)
     span = max(hi - lo, bins * width)
     edges = np.linspace(lo, lo + span, bins + 1)
-    # Counting the raw values against exp(edges) gives the counts of
-    # ln(values) against edges without a log of every value. The first
-    # counting edge is 0, so residues at or below the floor join the first
-    # bin; inner edges above ln(top) hold nothing and are left out, which
-    # keeps every counting edge finite at any span.
     inner = edges[1:bins]
     inner = inner[: np.searchsorted(inner, hi, side="right")]
-    counting = np.concatenate(([0.0], np.exp(inner), [np.inf]))
-    occupied, _ = np.histogram(values, bins=counting)
-    counts = np.zeros(bins)
-    counts[: occupied.size] = occupied
-    return ProbabilityDistribution(edges, counts / counts.sum())
+    return edges, np.concatenate(([0.0], np.exp(inner), [np.inf]))
 
 
 def uniform_reference(like: ProbabilityDistribution) -> ProbabilityDistribution:

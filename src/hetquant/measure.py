@@ -21,13 +21,14 @@ from .divergence import (
 )
 from .errors import ConfigurationError, ParameterError
 from .local_variance import local_variance
-from .series import TimeSeries
+from .series import TimeSeries, integer
 
 __all__ = [
     "MeasureConfig",
     "MeasureReport",
     "measure",
     "measure_from_distribution",
+    "METRIC_ORDER",
 ]
 
 # The scores score_distribution returns, in order.
@@ -53,6 +54,8 @@ class MeasureConfig:
     binning: str = "log"
 
     def __post_init__(self) -> None:
+        for name in ("window", "bins"):
+            object.__setattr__(self, name, integer(getattr(self, name), name))
         if self.window < 2:
             raise ConfigurationError("window must be at least 2")
         if self.bins < 2:
@@ -65,9 +68,11 @@ class MeasureConfig:
 
 @dataclass(frozen=True)
 class MeasureReport:
-    """Score plus the distribution and bookkeeping behind it."""
+    """Score plus the distribution and bookkeeping behind it; ``scores`` holds
+    all three ``score_distribution`` values, ``score`` the variant's one."""
 
     score: float
+    scores: tuple[float, float, float]
     variant: str
     config: MeasureConfig
     n_variances: int
@@ -108,10 +113,11 @@ def measure(series: TimeSeries, config: MeasureConfig = MeasureConfig()) -> Meas
         )
     variances = local_variance(series, config.window)
     dist = estimate_pdf(variances, config.bins, config.binning)
-    score = measure_from_distribution(dist, config.variant)
+    scores = score_distribution(dist)
     n_variances = len(variances)
     return MeasureReport(
-        score=score,
+        score=scores[VARIANTS.index(config.variant)],
+        scores=scores,
         variant=config.variant,
         config=config,
         n_variances=n_variances,

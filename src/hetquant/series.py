@@ -12,9 +12,10 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
+import operator
 import os
 import stat
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +57,15 @@ def frozen_array(values, name: str) -> np.ndarray:
         raise ParameterError(f"{name} must be finite")
     array.flags.writeable = False
     return array
+
+
+def integer(value, name: str) -> int:
+    """``value`` as a Python int; a numpy integer passes, but a float, a
+    string or any other non-integer raises ``ConfigurationError``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,6 +117,8 @@ class SegmentedGeneratorConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("total_samples", "num_sigmas", "seed"):
+            object.__setattr__(self, name, integer(getattr(self, name), name))
         if self.total_samples < 1:
             raise ConfigurationError("total_samples must be positive")
         if self.num_sigmas < 1:
@@ -269,6 +281,17 @@ def process_pool(workers: int):
     return ProcessPoolExecutor(max_workers=workers)
 
 
+def ordered_map(fn: Callable, items: list, workers: int, chunksize: int = 1) -> Iterator:
+    """``map(fn, items)`` in a pool of ``workers`` processes, at most one per
+    item; with fewer than two, ``fn`` runs in this process. Order is kept."""
+    workers = min(workers, len(items))
+    if workers < 2:
+        yield from map(fn, items)
+        return
+    with process_pool(workers) as pool:
+        yield from pool.map(fn, items, chunksize=chunksize)
+
+
 # Below glibc's default mmap threshold (128 KiB): asking for 1 MiB to read a
 # small file raised the peak RSS of a process that reads many such files by
 # about 1 MB, and larger blocks parse no faster.
@@ -423,12 +446,7 @@ def csv_chunks(header: str, *columns) -> Iterator[bytes]:
         tuple(c[start : start + _FORMAT_ROWS] for c in columns)
         for start in range(0, rows, _FORMAT_ROWS)
     ]
-    workers = min(len(blocks), usable_cpus())
-    if workers < 2:
-        yield from map(_encode_block, blocks)
-        return
-    with process_pool(workers) as pool:
-        yield from pool.map(_encode_block, blocks)
+    yield from ordered_map(_encode_block, blocks, usable_cpus())
 
 
 def csv_bytes(header: str, *columns) -> bytes:

@@ -1,13 +1,12 @@
 """Grid sweeps of the heteroskedasticity score over k, window, and seed.
 
-Every (k, window, seed) cell generates a fresh segmented series, runs the
-variance-histogram pipeline once, binned as ``measure`` bins it, and
-records three scores derived from the single Bhattacharyya evaluation: H_B (the coefficient itself), H_H (its
-Hellinger-variant transform), and the Bhattacharyya distance. A cell's
-random stream depends only on (seed, k), never on the window, so every
-window analyzes the same series. Rows are ordered canonically by
-(k, window, seed, metric), which makes reports byte-identical at any
-parallelism level.
+A sweep is three steps. Each (k, seed) cell generates one segmented
+series, whose random stream depends only on (seed, k), so every window
+scores the same series. Each window then scores it with one ``measure``
+call, whose ``scores`` give the cell's H_B, H_H and Bhattacharyya
+distance rows. Last, the rows are sorted by (k, window, seed, metric) and
+aggregated per (window, metric), so reports are byte-identical at any
+number of workers.
 """
 
 from __future__ import annotations
@@ -15,15 +14,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, partial
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 
-from .distribution import estimate_pdf
+from .distribution import estimate_pdf  # not called here; kept for perfbench/spans.py, which hooks this name
 from .errors import ConfigurationError, CorrelationUndefinedError, ParameterError
-from .local_variance import local_variance
-from .measure import METRIC_ORDER, MeasureConfig, score_distribution
-from .series import SegmentedGeneratorConfig, csv_bytes, generate_segmented, process_pool
+from .local_variance import local_variance  # not called here; kept for perfbench/spans.py, which hooks this name
+from .measure import METRIC_ORDER, MeasureConfig, measure
+from .series import SegmentedGeneratorConfig, csv_bytes, generate_segmented, integer, ordered_map
 
 __all__ = [
     "SweepConfig",
@@ -32,7 +32,6 @@ __all__ = [
     "SweepReport",
     "run_sweep",
     "spearman",
-    "METRIC_ORDER",
 ]
 
 
@@ -95,9 +94,10 @@ class SweepConfig:
     binning: str = MeasureConfig.binning
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sigma_counts", tuple(int(k) for k in self.sigma_counts))
-        object.__setattr__(self, "windows", tuple(int(w) for w in self.windows))
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        for name in ("sigma_counts", "windows", "seeds"):
+            object.__setattr__(self, name, tuple(integer(v, name) for v in getattr(self, name)))
+        for name in ("bins", "total_samples"):
+            object.__setattr__(self, name, integer(getattr(self, name), name))
         if not self.sigma_counts or not self.windows or not self.seeds:
             raise ConfigurationError("sigma_counts, windows, and seeds must be nonempty")
         if min(self.sigma_counts) < 1:
@@ -106,7 +106,7 @@ class SweepConfig:
             raise ConfigurationError("largest sigma count exceeds total_samples")
         # Delegate histogram-parameter validation (window, bins, binning).
         for window in self.windows:
-            MeasureConfig(window=window, bins=self.bins, binning=self.binning)
+            self._measure_config(window)
         if max(self.windows) + 1 > self.total_samples:
             raise ConfigurationError(
                 "largest window leaves fewer than two variance estimates"
@@ -127,6 +127,10 @@ class SweepConfig:
             seed=seed,
         )
 
+    def _measure_config(self, window: int) -> MeasureConfig:
+        """Histogram settings with which every cell scores its series at ``window``."""
+        return MeasureConfig(window=window, bins=self.bins, binning=self.binning)
+
 
 class SweepRow(NamedTuple):
     k: int
@@ -143,13 +147,14 @@ class SummaryRow(NamedTuple):
     mean_scores: tuple[float, ...]
 
 
-def _cell_rows(config: SweepConfig, seed: int, k: int) -> list[SweepRow]:
-    """Score one generated series under every window of the sweep."""
+def _cell_rows(config: SweepConfig, cell: tuple[int, int]) -> list[SweepRow]:
+    """Score the series of one (seed, k) cell under every window of the sweep."""
+    seed, k = cell
     series = generate_segmented(config._generator_config(k, seed))
     rows = []
     for window in config.windows:
-        dist = estimate_pdf(local_variance(series, window), config.bins, config.binning)
-        for metric, score in zip(METRIC_ORDER, score_distribution(dist)):
+        report = measure(series, config._measure_config(window))
+        for metric, score in zip(METRIC_ORDER, report.scores):
             rows.append(SweepRow(k, window, seed, metric, score))
     return rows
 
@@ -157,25 +162,17 @@ def _cell_rows(config: SweepConfig, seed: int, k: int) -> list[SweepRow]:
 def run_sweep(config: SweepConfig, workers: int = 1) -> "SweepReport":
     """Execute every (k, window, seed) cell and assemble a canonical report.
 
-    ``workers`` > 1 distributes cells over a process pool; the result is
-    byte-identical to the sequential run because each cell derives its own
-    random stream and rows are sorted afterwards.
+    ``workers`` > 1 distributes cells over a process pool of at most one
+    worker per (k, seed) cell; the result is byte-identical to the
+    sequential run because each cell derives its own random stream and
+    rows are sorted afterwards.
     """
     if workers < 1:
         raise ParameterError("workers must be at least 1")
-    tasks = [(seed, k) for seed in config.seeds for k in config.sigma_counts]
-    rows: list[SweepRow] = []
-    if workers == 1:
-        for seed, k in tasks:
-            rows.extend(_cell_rows(config, seed, k))
-    else:
-        seeds = [t[0] for t in tasks]
-        ks = [t[1] for t in tasks]
-        chunksize = max(1, len(tasks) // (workers * 4))
-        with process_pool(workers) as pool:
-            for cell in pool.map(partial(_cell_rows, config), seeds, ks, chunksize=chunksize):
-                rows.extend(cell)
-    rows.sort(key=lambda r: (r.k, r.window, r.seed, r.metric))
+    cells = [(seed, k) for seed in config.seeds for k in config.sigma_counts]
+    chunksize = max(1, len(cells) // (4 * workers))
+    per_cell = ordered_map(partial(_cell_rows, config), cells, workers, chunksize)
+    rows = sorted(chain.from_iterable(per_cell), key=lambda r: (r.k, r.window, r.seed, r.metric))
     return SweepReport(rows=tuple(rows), config=config)
 
 

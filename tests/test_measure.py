@@ -6,17 +6,22 @@ import numpy as np
 import pytest
 
 from hetquant import (
+    METRIC_ORDER,
     ConfigurationError,
     MeasureConfig,
     ParameterError,
     ProbabilityDistribution,
     SegmentedGeneratorConfig,
     TimeSeries,
+    bhattacharyya_coefficient,
+    bhattacharyya_distance,
     estimate_pdf,
     generate_segmented,
+    hellinger_affinity,
     local_variance,
     measure,
     measure_from_distribution,
+    uniform_reference,
 )
 
 
@@ -93,6 +98,30 @@ class TestPipeline:
         assert report.variant == "bhattacharyya"
         assert report.distribution.bins == 16
         assert 0.0 <= report.score <= 1.0
+
+    @pytest.mark.parametrize("binning", ["log", "linear"])
+    def test_scores_are_the_three_metrics_of_the_distribution(self, binning):
+        series = generate_segmented(
+            SegmentedGeneratorConfig(total_samples=1000, num_sigmas=4, seed=2)
+        )
+        report = measure(series, MeasureConfig(window=32, bins=16, binning=binning))
+        p = report.distribution
+        q = uniform_reference(p)
+        assert METRIC_ORDER == ("H_B", "H_H", "bhattacharyya_distance")
+        assert report.scores == (
+            bhattacharyya_coefficient(p, q),
+            hellinger_affinity(p, q),
+            bhattacharyya_distance(p, q),
+        )
+
+    @pytest.mark.parametrize("variant, index", [("bhattacharyya", 0), ("hellinger", 1)])
+    def test_score_is_the_variants_entry_of_scores(self, variant, index):
+        series = generate_segmented(
+            SegmentedGeneratorConfig(total_samples=1000, num_sigmas=4, seed=3)
+        )
+        report = measure(series, MeasureConfig(window=32, bins=16, variant=variant))
+        assert report.score == report.scores[index]
+        assert report.score == measure_from_distribution(report.distribution, variant)
 
     def test_sparse_histogram_flag_threshold(self):
         config = MeasureConfig(window=2, bins=64)

@@ -3,6 +3,7 @@
 import io
 import os
 import stat
+import time
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from hetquant import (
     ConfigurationError,
     IngestionError,
+    MeasureConfig,
     ParameterError,
     ProbabilityDistribution,
     SegmentedGeneratorConfig,
@@ -710,6 +712,77 @@ class TestPooledEncoding:
         assert series_module.usable_cpus() == 8
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert series_module.usable_cpus() == 1
+
+
+def later_items_finish_first(item: int) -> int:
+    """Sleeps longer for earlier items, so a pool finishes them out of order."""
+    time.sleep(0.002 * (8 - item))
+    return item * item
+
+
+class TestOrderedMap:
+    ITEMS = list(range(8))
+    SQUARES = [item * item for item in ITEMS]
+
+    def test_serial_keeps_the_input_order(self, monkeypatch):
+        monkeypatch.setattr(series_module, "process_pool", refuse_pool)
+        results = series_module.ordered_map(later_items_finish_first, self.ITEMS, 1)
+        assert list(results) == self.SQUARES
+
+    @pytest.mark.parametrize("chunksize", [1, 3])
+    def test_pooled_keeps_the_input_order(self, pools, chunksize):
+        results = series_module.ordered_map(later_items_finish_first, self.ITEMS, 2, chunksize)
+        assert list(results) == self.SQUARES
+        assert pools == [2]
+
+    def test_workers_are_capped_at_the_item_count(self, monkeypatch, pools):
+        assert list(series_module.ordered_map(abs, [-1], 64)) == [1]
+        assert pools == []
+        assert list(series_module.ordered_map(abs, [-1, -2], 64)) == [1, 2]
+        assert pools == [2]
+
+
+class TestIntegerFields:
+    """Integer config fields take Python and numpy integers, nothing else."""
+
+    @pytest.mark.parametrize(
+        "config, field, value",
+        [
+            (SweepConfig, "windows", (32.7,)),
+            (SweepConfig, "windows", ("64",)),
+            (SweepConfig, "seeds", (1.9,)),
+            (SweepConfig, "sigma_counts", (2.5,)),
+            (SweepConfig, "bins", 8.5),
+            (SweepConfig, "total_samples", 65536.0),
+            (MeasureConfig, "window", 32.5),
+            (MeasureConfig, "window", "64"),
+            (MeasureConfig, "bins", 8.5),
+            (SegmentedGeneratorConfig, "total_samples", 100.5),
+            (SegmentedGeneratorConfig, "num_sigmas", 2.5),
+            (SegmentedGeneratorConfig, "seed", 1.5),
+        ],
+    )
+    def test_non_integers_are_rejected_by_name(self, config, field, value):
+        kwargs = {"total_samples": 100} if config is SegmentedGeneratorConfig else {}
+        with pytest.raises(ConfigurationError, match=f"^{field} must be an integer"):
+            config(**{**kwargs, field: value})
+
+    def test_numpy_integers_pass_as_python_ints(self):
+        sweep = SweepConfig(
+            sigma_counts=np.array([1, 4]),
+            windows=(np.int32(16),),
+            bins=np.int64(8),
+            total_samples=np.uint16(512),
+            seeds=(np.uint64(2**63),),
+        )
+        assert (sweep.sigma_counts, sweep.windows, sweep.seeds) == ((1, 4), (16,), (2**63,))
+        assert (sweep.bins, sweep.total_samples) == (8, 512)
+        assert all(type(v) is int for v in (*sweep.sigma_counts, sweep.bins, sweep.total_samples))
+        assert MeasureConfig(window=np.int16(32), bins=np.uint8(16)) == MeasureConfig(32, 16)
+        generator = SegmentedGeneratorConfig(
+            total_samples=np.int64(100), num_sigmas=np.int8(4), seed=np.uint64(2**64 - 1)
+        )
+        assert (generator.total_samples, generator.num_sigmas, generator.seed) == (100, 4, 2**64 - 1)
 
 
 class TestStreamedWrite:

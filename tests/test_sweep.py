@@ -1,6 +1,8 @@
 """Sweep harness: cardinality, determinism, aggregates, rank correlation."""
 
+import concurrent.futures
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.stats import rankdata, spearmanr
 
 from hetquant import (
+    METRIC_ORDER,
     ConfigurationError,
     CorrelationUndefinedError,
     MeasureConfig,
@@ -23,6 +26,7 @@ from hetquant import (
     run_sweep,
     spearman,
 )
+from hetquant import series as series_module
 from hetquant.sweep import _average_ranks
 
 SMALL = SweepConfig(
@@ -142,18 +146,18 @@ class TestSweepRows:
             binning=binning,
         )
         report = run_sweep(config)
+        assert {row.metric for row in report.rows} == set(METRIC_ORDER)
         for row in report.rows:
-            if row.metric == "bhattacharyya_distance":
-                continue
             series = generate_segmented(
                 SegmentedGeneratorConfig(total_samples=2048, num_sigmas=row.k, seed=row.seed)
             )
-            variant = "bhattacharyya" if row.metric == "H_B" else "hellinger"
-            expected = measure(
-                series,
-                MeasureConfig(window=row.window, bins=16, variant=variant, binning=binning),
-            ).score
+            measure_config = MeasureConfig(window=row.window, bins=16, binning=binning)
+            expected = measure(series, measure_config).scores[METRIC_ORDER.index(row.metric)]
             assert row.score == expected, row
+            if row.metric != "bhattacharyya_distance":
+                variant = "bhattacharyya" if row.metric == "H_B" else "hellinger"
+                scored = measure(series, replace(measure_config, variant=variant)).score
+                assert row.score == scored, row
 
     def test_distance_ranks_mirror_the_coefficient(self):
         report = run_sweep(SMALL)
@@ -175,6 +179,53 @@ class TestDeterminism:
         parallel = run_sweep(SMALL, workers=3)
         assert sequential.report_csv_bytes() == parallel.report_csv_bytes()
         assert sequential.summary_csv_bytes() == parallel.summary_csv_bytes()
+
+
+class _InProcessPool:
+    """Stands in for a process pool: maps in this process, starts nothing."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+class TestPoolSize:
+    """A sweep asks for no more workers than it has (k, seed) cells."""
+
+    @pytest.fixture
+    def requested(self, monkeypatch):
+        """Worker counts asked of ``series.process_pool``; any other route
+        to a process pool fails the test before it starts a process."""
+        requested = []
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a process pool was started outside series.process_pool")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+
+        def record(workers):
+            requested.append(workers)
+            return _InProcessPool()
+
+        monkeypatch.setattr(series_module, "process_pool", record)
+        return requested
+
+    def test_one_cell_starts_no_pool(self, requested):
+        config = SweepConfig(sigma_counts=(4,), windows=(16,), bins=8, total_samples=512, seeds=(1,))
+        report = run_sweep(config, workers=64)
+        assert requested == []
+        assert report.report_csv_bytes() == run_sweep(config).report_csv_bytes()
+
+    def test_two_cells_ask_for_two_workers(self, requested):
+        config = SweepConfig(sigma_counts=(1, 4), windows=(16,), bins=8, total_samples=512, seeds=(1,))
+        report = run_sweep(config, workers=64)
+        assert requested == [2]
+        assert report.report_csv_bytes() == run_sweep(config).report_csv_bytes()
 
 
 class TestSummary:
