@@ -46,12 +46,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _int_list(text: str) -> tuple[int, ...]:
     try:
-        values = tuple(int(token) for token in text.split(","))
+        return tuple(int(token) for token in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("expected at least one integer")
-    return values
 
 
 def _add_binning_flag(parser: argparse.ArgumentParser) -> None:

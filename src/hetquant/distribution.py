@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import IngestionError, ParameterError
 from .local_variance import LocalVarianceSeries, variance_array
-from .series import csv_bytes, frozen_array, read_table, write_bytes
+from .series import csv_bytes, frozen_array, integer, read_table, write_bytes
 
 __all__ = [
     "ProbabilityDistribution",
@@ -96,8 +96,7 @@ def estimate_pdf(variances, bins: int, binning: str = "linear") -> ProbabilityDi
         raise ParameterError("log binning needs a LocalVarianceSeries for its window and zero floor")
     else:
         values = variance_array(variances)
-    if bins < 1:
-        raise ParameterError(f"bins must be at least 1, got {bins}")
+    bins = integer(bins, "bins", 1, ParameterError)
     if binning == "log":
         edges, counting = _log_edges(values, bins, variances.window, variances.zero_floor)
     else:

@@ -230,23 +230,24 @@ class DivergenceResult:
 
 
 # metric name -> (function, needs q, needs alpha, uses log_base, bounded on
-# [0, 1]). Every function takes (p[, q][, alpha][, log_base]) as flagged.
+# [0, 1], fixed log base). Every function takes (p[, q][, alpha][, log_base])
+# as flagged; a metric that takes no log_base reports its fixed base, if any.
 _METRIC_TABLE = {
-    "bc": (bhattacharyya_coefficient, True, False, False, True),
-    "bhattacharyya": (bhattacharyya_distance, True, False, False, False),
-    "hellinger_affinity": (hellinger_affinity, True, False, False, True),
-    "hellinger_standard": (hellinger_standard, True, False, False, True),
-    "kl": (kl_divergence, True, False, True, False),
-    "renyi": (renyi_divergence, True, True, True, False),
-    "tsallis": (tsallis_divergence, True, True, False, False),
-    "jsd": (jensen_shannon_divergence, True, False, False, True),
-    "shannon_entropy": (shannon_entropy, False, False, True, False),
-    "renyi_entropy": (renyi_entropy, False, True, True, False),
+    "bc": (bhattacharyya_coefficient, True, False, False, True, None),
+    "bhattacharyya": (bhattacharyya_distance, True, False, False, False, None),
+    "hellinger_affinity": (hellinger_affinity, True, False, False, True, None),
+    "hellinger_standard": (hellinger_standard, True, False, False, True, None),
+    "kl": (kl_divergence, True, False, True, False, None),
+    "renyi": (renyi_divergence, True, True, True, False, None),
+    "tsallis": (tsallis_divergence, True, True, False, False, None),
+    "jsd": (jensen_shannon_divergence, True, False, False, True, "base2"),
+    "shannon_entropy": (shannon_entropy, False, False, True, False, None),
+    "renyi_entropy": (renyi_entropy, False, True, True, False, None),
 }
 
 # metric name -> (needs q, needs alpha, uses log_base, bounded on [0, 1])
 METRICS: dict[str, tuple[bool, bool, bool, bool]] = {
-    name: row[1:] for name, row in _METRIC_TABLE.items()
+    name: row[1:5] for name, row in _METRIC_TABLE.items()
 }
 
 
@@ -263,7 +264,7 @@ def evaluate(
             f"unknown metric {metric!r}; choose from {sorted(METRICS)}"
         )
     _check_log_base(log_base)
-    function, needs_q, needs_alpha, uses_base, bounded = _METRIC_TABLE[metric]
+    function, needs_q, needs_alpha, uses_base, bounded, fixed_base = _METRIC_TABLE[metric]
     if needs_q and q is None:
         raise ParameterError(f"metric {metric!r} requires a second distribution")
     if not needs_q and q is not None:
@@ -274,11 +275,10 @@ def evaluate(
         raise ParameterError(f"alpha is not a parameter of metric {metric!r}")
     args = [p] + [q] * needs_q + [alpha] * needs_alpha + [log_base] * uses_base
     value = function(*args)
-    reported_base = "base2" if metric == "jsd" else (log_base if uses_base else None)
     return DivergenceResult(
         metric=metric,
         value=value,
         alpha=alpha,
-        log_base=reported_base,
+        log_base=log_base if uses_base else fixed_base,
         bounded=bounded,
     )

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalError, ParameterError
-from .series import TimeSeries, frozen_array
+from .series import TimeSeries, frozen_array, integer
 
 __all__ = ["LocalVarianceSeries", "local_variance"]
 
@@ -51,8 +51,7 @@ class LocalVarianceSeries:
 
     def __post_init__(self) -> None:
         variances = variance_array(self.variances)
-        if self.window < 2:
-            raise ParameterError("window must be at least 2")
+        object.__setattr__(self, "window", integer(self.window, "window", 2, ParameterError))
         if not (np.isfinite(self.zero_floor) and self.zero_floor >= 0):
             raise ParameterError("zero_floor must be finite and nonnegative")
         object.__setattr__(self, "variances", variances)
@@ -121,8 +120,7 @@ def local_variance(series: TimeSeries, window: int) -> LocalVarianceSeries:
     floor is 0 for a constant series whose mean is exact.
     """
     n = len(series)
-    if window < 2:
-        raise ParameterError(f"window must be at least 2, got {window}")
+    window = integer(window, "window", 2, ParameterError)
     if window > n:
         raise ParameterError(f"window ({window}) exceeds series length ({n})")
     # Overflow turns up as a zero floor that is not finite, checked below.
@@ -133,7 +131,7 @@ def local_variance(series: TimeSeries, window: int) -> LocalVarianceSeries:
         mean_sq = _window_sums(x * x, window)
         mean_sq /= window
         variances = mean_sq - mean * mean
-    depth_terms = int(window).bit_length() + int(window).bit_count()
+    depth_terms = window.bit_length() + window.bit_count()
     zero_floor = float(1.5 * depth_terms * np.finfo(np.float64).eps * mean_sq.max())
     if not np.isfinite(zero_floor):
         raise ParameterError("samples are too large: their window sums of squares overflow float64")

@@ -55,11 +55,7 @@ class MeasureConfig:
 
     def __post_init__(self) -> None:
         for name in ("window", "bins"):
-            object.__setattr__(self, name, integer(getattr(self, name), name))
-        if self.window < 2:
-            raise ConfigurationError("window must be at least 2")
-        if self.bins < 2:
-            raise ConfigurationError("bins must be at least 2")
+            object.__setattr__(self, name, integer(getattr(self, name), name, 2))
         if self.variant not in VARIANTS:
             raise ConfigurationError(f"variant must be one of {VARIANTS}")
         if self.binning not in BINNINGS:

@@ -59,13 +59,16 @@ def frozen_array(values, name: str) -> np.ndarray:
     return array
 
 
-def integer(value, name: str) -> int:
-    """``value`` as a Python int; a numpy integer passes, but a float, a
-    string or any other non-integer raises ``ConfigurationError``."""
+def integer(value, name: str, minimum: int | None, error: type = ConfigurationError) -> int:
+    """``value`` as a Python int of at least ``minimum`` (None: no bound); a numpy
+    integer passes, but a float, a string or a smaller value raises ``error``."""
     try:
-        return operator.index(value)
+        number = operator.index(value)
     except TypeError:
-        raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
+        raise error(f"{name} must be an integer, got {value!r}") from None
+    if minimum is not None and number < minimum:
+        raise error(f"{name} must be at least {minimum}, got {number}")
+    return number
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,12 +120,8 @@ class SegmentedGeneratorConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("total_samples", "num_sigmas", "seed"):
-            object.__setattr__(self, name, integer(getattr(self, name), name))
-        if self.total_samples < 1:
-            raise ConfigurationError("total_samples must be positive")
-        if self.num_sigmas < 1:
-            raise ConfigurationError("num_sigmas must be positive")
+        for name, minimum in (("total_samples", 1), ("num_sigmas", 1), ("seed", 0)):
+            object.__setattr__(self, name, integer(getattr(self, name), name, minimum))
         if self.num_sigmas > self.total_samples:
             raise ConfigurationError(
                 f"num_sigmas ({self.num_sigmas}) exceeds total_samples ({self.total_samples})"
@@ -135,7 +134,7 @@ class SegmentedGeneratorConfig:
             raise ConfigurationError("sigma_max must be finite")
         if self.spacing not in SPACINGS:
             raise ConfigurationError(f"spacing must be one of {SPACINGS}")
-        if not 0 <= self.seed < 2**64:
+        if self.seed >= 2**64:
             raise ConfigurationError("seed must fit in 64 unsigned bits")
 
 
@@ -145,6 +144,8 @@ def segment_lengths(total_samples: int, num_segments: int) -> list[int]:
     The first ``total_samples mod num_segments`` parts receive one extra
     sample, so lengths differ by at most 1 and sum to the total.
     """
+    total_samples = integer(total_samples, "total_samples", 0, ParameterError)
+    num_segments = integer(num_segments, "num_segments", 1, ParameterError)
     base, extra = divmod(total_samples, num_segments)
     return [base + 1 if j < extra else base for j in range(num_segments)]
 
@@ -152,12 +153,10 @@ def segment_lengths(total_samples: int, num_segments: int) -> list[int]:
 def sigma_values(config: SegmentedGeneratorConfig) -> np.ndarray:
     """Per-segment standard deviations before any shuffling.
 
-    A single segment uses ``sigma_min``; otherwise the k values span
-    [sigma_min, sigma_max] with linear or logarithmic spacing, hitting both
-    endpoints exactly.
+    The k values span [sigma_min, sigma_max] with linear or logarithmic
+    spacing, hitting both endpoints exactly; a single segment uses
+    ``sigma_min``.
     """
-    if config.num_sigmas == 1:
-        return np.array([config.sigma_min])
     if config.spacing == "linear":
         return np.linspace(config.sigma_min, config.sigma_max, config.num_sigmas)
     return np.geomspace(config.sigma_min, config.sigma_max, config.num_sigmas)
@@ -281,7 +280,7 @@ def process_pool(workers: int):
     return ProcessPoolExecutor(max_workers=workers)
 
 
-def ordered_map(fn: Callable, items: list, workers: int, chunksize: int = 1) -> Iterator:
+def ordered_map(fn: Callable, items: list, workers: int) -> Iterator:
     """``map(fn, items)`` in a pool of ``workers`` processes, at most one per
     item; with fewer than two, ``fn`` runs in this process. Order is kept."""
     workers = min(workers, len(items))
@@ -289,7 +288,7 @@ def ordered_map(fn: Callable, items: list, workers: int, chunksize: int = 1) -> 
         yield from map(fn, items)
         return
     with process_pool(workers) as pool:
-        yield from pool.map(fn, items, chunksize=chunksize)
+        yield from pool.map(fn, items)
 
 
 # Below glibc's default mmap threshold (128 KiB): asking for 1 MiB to read a

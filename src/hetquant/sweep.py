@@ -94,14 +94,15 @@ class SweepConfig:
     binning: str = MeasureConfig.binning
 
     def __post_init__(self) -> None:
-        for name in ("sigma_counts", "windows", "seeds"):
-            object.__setattr__(self, name, tuple(integer(v, name) for v in getattr(self, name)))
+        # Only sigma_counts is bounded here; the configs built below bound
+        # the windows, bins, seeds and total_samples.
+        for name, minimum in (("sigma_counts", 1), ("windows", None), ("seeds", None)):
+            values = tuple(integer(v, name, minimum) for v in getattr(self, name))
+            object.__setattr__(self, name, values)
         for name in ("bins", "total_samples"):
-            object.__setattr__(self, name, integer(getattr(self, name), name))
+            object.__setattr__(self, name, integer(getattr(self, name), name, None))
         if not self.sigma_counts or not self.windows or not self.seeds:
             raise ConfigurationError("sigma_counts, windows, and seeds must be nonempty")
-        if min(self.sigma_counts) < 1:
-            raise ConfigurationError("sigma counts must be positive")
         if max(self.sigma_counts) > self.total_samples:
             raise ConfigurationError("largest sigma count exceeds total_samples")
         # Delegate histogram-parameter validation (window, bins, binning).
@@ -167,11 +168,9 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> "SweepReport":
     sequential run because each cell derives its own random stream and
     rows are sorted afterwards.
     """
-    if workers < 1:
-        raise ParameterError("workers must be at least 1")
+    workers = integer(workers, "workers", 1, ParameterError)
     cells = [(seed, k) for seed in config.seeds for k in config.sigma_counts]
-    chunksize = max(1, len(cells) // (4 * workers))
-    per_cell = ordered_map(partial(_cell_rows, config), cells, workers, chunksize)
+    per_cell = ordered_map(partial(_cell_rows, config), cells, workers)
     rows = sorted(chain.from_iterable(per_cell), key=lambda r: (r.k, r.window, r.seed, r.metric))
     return SweepReport(rows=tuple(rows), config=config)
 

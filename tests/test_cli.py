@@ -135,6 +135,25 @@ class TestAnalyze:
         assert lines[0] == "variant,score,window,bins,n_variances"
         assert lines[1] == f"bhattacharyya,{format_float(report.score)},64,32,4033"
 
+    def test_readme_example(self, tmp_path, capsys):
+        target = tmp_path / "series.csv"
+        code, _, _ = run_cli(
+            capsys,
+            "generate", "--samples", "65536", "--num-sigmas", "8", "--seed", "7",
+            "--out", str(target),
+        )
+        assert code == 0
+        analyze = ("analyze", "--input", str(target), "--window", "128", "--bins", "64")
+        code, out, _ = run_cli(capsys, *analyze)
+        assert code == 0
+        assert out == (
+            "variant,score,window,bins,n_variances\n"
+            "bhattacharyya,0.726304848010942,128,64,65409\n"
+        )
+        code, out, _ = run_cli(capsys, *analyze, "--binning", "linear")
+        assert code == 0
+        assert out.split("\n")[1] == "bhattacharyya,0.8551967094167768,128,64,65409"
+
     def test_score_is_bounded(self, tmp_path, capsys):
         target = tmp_path / "series.csv"
         run_cli(capsys, "generate", "--samples", "600", "--out", str(target))

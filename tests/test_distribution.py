@@ -178,6 +178,10 @@ class TestProbabilityDistribution:
         with pytest.raises(ParameterError):
             ProbabilityDistribution(np.array([0.0, 1.0]), np.array([0.5, 0.5]))
 
+    def test_rejects_fewer_than_two_edges(self):
+        with pytest.raises(ParameterError, match="^edges must hold at least two boundaries$"):
+            ProbabilityDistribution(np.array([0.0]), np.array([]))
+
     def test_midpoints(self):
         dist = ProbabilityDistribution(np.array([0.0, 2.0, 4.0]), np.array([0.5, 0.5]))
         assert dist.midpoints.tolist() == [1.0, 3.0]

@@ -2,6 +2,7 @@
 
 import io
 import os
+import re
 import stat
 import time
 import tracemalloc
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from hetquant import (
     ConfigurationError,
     IngestionError,
+    LocalVarianceSeries,
     MeasureConfig,
     ParameterError,
     ProbabilityDistribution,
@@ -21,8 +23,10 @@ from hetquant import (
     SweepConfig,
     TimeSeries,
     distribution_csv_bytes,
+    estimate_pdf,
     format_float,
     generate_segmented,
+    local_variance,
     read_csv,
     read_distribution_csv,
     run_sweep,
@@ -174,6 +178,15 @@ class TestTimeSeries:
     def test_times_must_match_length(self):
         with pytest.raises(ParameterError):
             TimeSeries(np.array([1.0, 2.0]), times=np.array([0.0]))
+
+    def test_equality_compares_samples_and_times(self):
+        samples = np.array([1.0, 2.0])
+        series = TimeSeries(samples, times=np.array([0.0, 1.0]))
+        assert series == TimeSeries(samples, times=np.array([0.0, 1.0]))
+        assert series != TimeSeries(samples, times=np.array([0.0, 2.0]))
+        assert series != TimeSeries(samples)
+        assert series != samples.tolist()
+        assert series.__eq__(samples) is NotImplemented
 
 
 class TestFloatFormatting:
@@ -729,9 +742,8 @@ class TestOrderedMap:
         results = series_module.ordered_map(later_items_finish_first, self.ITEMS, 1)
         assert list(results) == self.SQUARES
 
-    @pytest.mark.parametrize("chunksize", [1, 3])
-    def test_pooled_keeps_the_input_order(self, pools, chunksize):
-        results = series_module.ordered_map(later_items_finish_first, self.ITEMS, 2, chunksize)
+    def test_pooled_keeps_the_input_order(self, pools):
+        results = series_module.ordered_map(later_items_finish_first, self.ITEMS, 2)
         assert list(results) == self.SQUARES
         assert pools == [2]
 
@@ -783,6 +795,64 @@ class TestIntegerFields:
             total_samples=np.int64(100), num_sigmas=np.int8(4), seed=np.uint64(2**64 - 1)
         )
         assert (generator.total_samples, generator.num_sigmas, generator.seed) == (100, 4, 2**64 - 1)
+
+
+TINY_SWEEP = SweepConfig(sigma_counts=(1,), windows=(2,), seeds=(1,), bins=2, total_samples=8)
+
+# Every integer argument of the public API: (call with the value, the name its
+# errors give, the least value it takes, the error it raises).
+INTEGER_ARGUMENTS = {
+    "MeasureConfig.window": (lambda v: MeasureConfig(window=v), "window", 2, ConfigurationError),
+    "MeasureConfig.bins": (lambda v: MeasureConfig(bins=v), "bins", 2, ConfigurationError),
+    "SegmentedGeneratorConfig.total_samples": (
+        lambda v: SegmentedGeneratorConfig(total_samples=v), "total_samples", 1, ConfigurationError
+    ),
+    "SegmentedGeneratorConfig.num_sigmas": (
+        lambda v: SegmentedGeneratorConfig(total_samples=8, num_sigmas=v),
+        "num_sigmas", 1, ConfigurationError,
+    ),
+    "SegmentedGeneratorConfig.seed": (
+        lambda v: SegmentedGeneratorConfig(total_samples=8, seed=v), "seed", 0, ConfigurationError
+    ),
+    "SweepConfig.sigma_counts": (
+        lambda v: SweepConfig(sigma_counts=(v,)), "sigma_counts", 1, ConfigurationError
+    ),
+    "LocalVarianceSeries.window": (
+        lambda v: LocalVarianceSeries(np.array([0.1]), window=v), "window", 2, ParameterError
+    ),
+    "local_variance": (
+        lambda v: local_variance(TimeSeries(np.arange(10.0)), v), "window", 2, ParameterError
+    ),
+    "estimate_pdf": (lambda v: estimate_pdf(np.array([0.2, 0.9]), v), "bins", 1, ParameterError),
+    "run_sweep": (lambda v: run_sweep(TINY_SWEEP, workers=v), "workers", 1, ParameterError),
+    "segment_lengths.total_samples": (
+        lambda v: segment_lengths(v, 3), "total_samples", 0, ParameterError
+    ),
+    "segment_lengths.num_segments": (
+        lambda v: segment_lengths(10, v), "num_segments", 1, ParameterError
+    ),
+}
+
+
+@pytest.mark.parametrize("site", INTEGER_ARGUMENTS)
+def test_integer_arguments_take_integers_of_their_least_value(site):
+    """A float, a string and a value below the least one raise the site's
+    error, naming the argument; a numpy integer passes."""
+    call, name, minimum, error = INTEGER_ARGUMENTS[site]
+    for value in (minimum + 0.5, str(minimum)):
+        message = f"{name} must be an integer, got {value!r}"
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call(value)
+    message = f"{name} must be at least {minimum}, got {minimum - 1}"
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(minimum - 1)
+    call(np.int64(minimum))
+
+
+def test_integer_arguments_are_stored_as_python_ints():
+    assert type(LocalVarianceSeries(np.array([0.1]), window=np.int64(2)).window) is int
+    assert type(local_variance(TimeSeries(np.arange(4.0)), np.uint8(2)).window) is int
+    assert segment_lengths(np.int64(0), np.int8(3)) == [0, 0, 0]
 
 
 class TestStreamedWrite:

@@ -190,7 +190,7 @@ class _InProcessPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items, chunksize=1):
+    def map(self, fn, items):
         return map(fn, items)
 
 
