@@ -201,9 +201,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        print(f"error: usage: {exc}", file=sys.stderr)
-        return 1
     except HetquantError as exc:
         print(f"error: {exc.category}: {exc}", file=sys.stderr)
         return 1

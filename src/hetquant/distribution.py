@@ -47,8 +47,10 @@ class ProbabilityDistribution:
             raise ParameterError("edges must hold at least two boundaries")
         if masses.size != edges.size - 1:
             raise ParameterError("masses must hold exactly one value per bin")
-        if np.any(np.diff(edges) <= 0):
-            raise ParameterError("edges must be strictly increasing")
+        # Finite edges may differ by more than the largest float: an inf step.
+        with np.errstate(over="ignore"):
+            if np.any(np.diff(edges) <= 0):
+                raise ParameterError("edges must be strictly increasing")
         if np.any(masses < 0):
             raise ParameterError("masses must be finite and nonnegative")
         total = float(masses.sum())
@@ -158,16 +160,19 @@ def read_distribution_csv(source) -> ProbabilityDistribution:
     """
     table = read_table(source, {"bin_midpoint,mass": ("bin_midpoint", "mass")})
     mids, masses = table.T
-    if mids.size > 1 and np.any(np.diff(mids) <= 0):
-        raise IngestionError("bin midpoints must be strictly increasing")
-    if mids.size == 1:
-        step = np.spacing(abs(mids[0]))
-        edges = np.array([mids[0] - step, mids[0] + step])
-    else:
-        inner = (mids[:-1] + mids[1:]) / 2.0
-        first = mids[0] - (inner[0] - mids[0])
-        last = mids[-1] + (mids[-1] - inner[-1])
-        edges = np.concatenate(([first], inner, [last]))
+    # Near the largest floats a difference or edge overflows to inf; the
+    # constructor below rejects such edges as not finite.
+    with np.errstate(over="ignore"):
+        if mids.size > 1 and np.any(np.diff(mids) <= 0):
+            raise IngestionError("bin midpoints must be strictly increasing")
+        if mids.size == 1:
+            step = np.spacing(abs(mids[0]))
+            edges = np.array([mids[0] - step, mids[0] + step])
+        else:
+            inner = (mids[:-1] + mids[1:]) / 2.0
+            first = mids[0] - (inner[0] - mids[0])
+            last = mids[-1] + (mids[-1] - inner[-1])
+            edges = np.concatenate(([first], inner, [last]))
     try:
         return ProbabilityDistribution(edges, masses)
     except ParameterError as exc:

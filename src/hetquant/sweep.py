@@ -1,12 +1,12 @@
 """Grid sweeps of the heteroskedasticity score over k, window, and seed.
 
-A sweep is three steps. Each (k, seed) cell generates one segmented
-series, whose random stream depends only on (seed, k), so every window
-scores the same series. Each window then scores it with one ``measure``
-call, whose ``scores`` give the cell's H_B, H_H and Bhattacharyya
-distance rows. Last, the rows are sorted by (k, window, seed, metric) and
-aggregated per (window, metric), so reports are byte-identical at any
-number of workers.
+Each grid is a set, stored as a sorted tuple of distinct ints. A sweep
+is three steps. Each (k, seed) cell generates one series, whose random
+stream depends only on (seed, k), and scores it at every window with one
+``measure`` call, whose ``scores`` give the H_B, H_H and Bhattacharyya
+distance rows. Last, the rows are sorted by (k, window, seed, metric)
+and aggregated per (window, metric), so reports are byte-identical at
+any number of workers and whatever the order or repeats of a grid.
 """
 
 from __future__ import annotations
@@ -79,8 +79,8 @@ def _rank_correlation(rx: np.ndarray, ry: np.ndarray) -> float | None:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Sweep grid plus the generator and histogram settings shared by all
-    cells; ``binning`` is as in ``MeasureConfig``."""
+    """Sweep grids, each stored as a sorted tuple of distinct ints, plus the
+    generator and histogram settings of all cells (``binning`` as in ``MeasureConfig``)."""
 
     sigma_counts: tuple[int, ...] = (1, 2, 4, 8, 16, 32, 64)
     windows: tuple[int, ...] = (32, 64, 128, 256)
@@ -97,14 +97,12 @@ class SweepConfig:
         # Only sigma_counts is bounded here; the configs built below bound
         # the windows, bins, seeds and total_samples.
         for name, minimum in (("sigma_counts", 1), ("windows", None), ("seeds", None)):
-            values = tuple(integer(v, name, minimum) for v in getattr(self, name))
-            object.__setattr__(self, name, values)
+            values = sorted({integer(v, name, minimum) for v in getattr(self, name)})
+            object.__setattr__(self, name, tuple(values))
         for name in ("bins", "total_samples"):
             object.__setattr__(self, name, integer(getattr(self, name), name, None))
         if not self.sigma_counts or not self.windows or not self.seeds:
             raise ConfigurationError("sigma_counts, windows, and seeds must be nonempty")
-        if max(self.sigma_counts) > self.total_samples:
-            raise ConfigurationError("largest sigma count exceeds total_samples")
         # Delegate histogram-parameter validation (window, bins, binning).
         for window in self.windows:
             self._measure_config(window)
@@ -112,7 +110,8 @@ class SweepConfig:
             raise ConfigurationError(
                 "largest window leaves fewer than two variance estimates"
             )
-        # Delegate generator-parameter validation (sigma range, spacing, seeds).
+        # Delegate generator-parameter validation (sigma range, spacing,
+        # seeds, and k against total_samples).
         for seed in self.seeds:
             self._generator_config(max(self.sigma_counts), seed)
 
@@ -171,7 +170,7 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> "SweepReport":
     workers = integer(workers, "workers", 1, ParameterError)
     cells = [(seed, k) for seed in config.seeds for k in config.sigma_counts]
     per_cell = ordered_map(partial(_cell_rows, config), cells, workers)
-    rows = sorted(chain.from_iterable(per_cell), key=lambda r: (r.k, r.window, r.seed, r.metric))
+    rows = sorted(chain.from_iterable(per_cell))
     return SweepReport(rows=tuple(rows), config=config)
 
 
@@ -199,15 +198,15 @@ class SweepReport:
             raise ParameterError(
                 f"report has no {metric} score for k={min(missing)}, window={window}, seed={seed}"
             )
-        return [picked[k] for k in sorted(self.config.sigma_counts)]
+        return [picked[k] for k in self.config.sigma_counts]
 
     def summary_rows(self) -> list[SummaryRow]:
         """Aggregate each (window, metric): mean per-seed Spearman against
         log2(k) (NaN for a seed whose ranks are constant), plus the
         across-seed mean score per k."""
-        log_k_ranks = _average_ranks(np.log2(sorted(self.config.sigma_counts)))
+        log_k_ranks = _average_ranks(np.log2(self.config.sigma_counts))
         out: list[SummaryRow] = []
-        for window in sorted(self.config.windows):
+        for window in self.config.windows:
             for metric in METRIC_ORDER:
                 per_seed = np.array(
                     [self.scores(window, metric, seed) for seed in self.config.seeds]
@@ -231,7 +230,7 @@ class SweepReport:
 
     def summary_csv_bytes(self) -> bytes:
         header = "window,metric,spearman" + "".join(
-            f",mean_score_k{k}" for k in sorted(self.config.sigma_counts)
+            f",mean_score_k{k}" for k in self.config.sigma_counts
         )
         rows = [(r.window, r.metric, r.spearman, *r.mean_scores) for r in self.summary_rows()]
         return csv_bytes(header, *zip(*rows))

@@ -409,6 +409,23 @@ class TestDivergence:
         assert err == "error: parameter: alpha = 1000.0 takes the power sum out of float64 range\n"
         assert caught == []
 
+    @pytest.mark.parametrize(
+        "rows",
+        ["1e308,0.5\n1.7e308,0.5", "-1.7e308,0.5\n1.7e308,0.5", "1.7976931348623157e308,1"],
+    )
+    def test_overflowing_edges_exit_one_without_warnings(self, tmp_path, capsys, rows):
+        path = tmp_path / "huge.csv"
+        path.write_text(f"bin_midpoint,mass\n{rows}\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(
+                capsys, "divergence", "--p", str(path), "--metric", "shannon_entropy"
+            )
+        assert code == 1
+        assert out == ""
+        assert err == "error: ingestion: edges must be finite\n"
+        assert caught == []
+
     def test_unknown_metric_is_a_usage_error(self, dist_files, capsys):
         p_path, _ = dist_files
         code, _, err = run_cli(
@@ -447,6 +464,19 @@ class TestSweepCli:
         assert run_cli(capsys, *self.ARGS, "--out", str(solo))[0] == 0
         assert run_cli(capsys, *self.ARGS, "--workers", "3", "--out", str(pooled))[0] == 0
         assert solo.read_bytes() == pooled.read_bytes()
+
+    def test_grid_flags_are_sets(self, tmp_path, capsys):
+        def files(tag, sigma_counts, seeds):
+            out, summary = tmp_path / f"{tag}.csv", tmp_path / f"{tag}-summary.csv"
+            args = ("--sigma-counts", sigma_counts, "--seeds", seeds, "--windows", "16,32")
+            code, _, _ = run_cli(
+                capsys, "sweep", *args, "--bins", "8", "--samples", "1024",
+                "--out", str(out), "--summary", str(summary),
+            )
+            assert code == 0
+            return out.read_bytes(), summary.read_bytes()
+
+        assert files("repeated", "4,1,2,2", "3,1,3") == files("set", "1,2,4", "1,3")
 
     def test_bad_sigma_counts_flag(self, tmp_path, capsys):
         code, _, err = run_cli(

@@ -166,6 +166,10 @@ class TestProbabilityDistribution:
         with pytest.raises(ParameterError):
             ProbabilityDistribution(np.array([0.0, 1.0, 1.0]), np.array([0.5, 0.5]))
 
+    def test_accepts_finite_edges_whose_difference_overflows(self):
+        dist = ProbabilityDistribution(np.array([-1.7e308, 1.7e308]), np.array([1.0]))
+        assert dist.edges.tolist() == [-1.7e308, 1.7e308]
+
     def test_rejects_unnormalized_masses(self):
         with pytest.raises(ParameterError):
             ProbabilityDistribution(np.array([0.0, 0.5, 1.0]), np.array([0.6, 0.6]))

@@ -329,6 +329,33 @@ class TestMissingCells:
             SweepReport(rows=rows, config=SMALL).summary_csv_bytes()
 
 
+class TestGridsAreSets:
+    """Each grid is stored sorted and without repeats, so neither changes
+    what a sweep scores or writes."""
+
+    def test_grids_are_stored_sorted_and_distinct(self):
+        config = SweepConfig(sigma_counts=(4, 1, 2, 2), windows=(64, 32, 64), seeds=(3, 1, 3))
+        assert config.sigma_counts == (1, 2, 4)
+        assert config.windows == (32, 64)
+        assert config.seeds == (1, 3)
+
+    def test_repeated_grid_scores_each_cell_once(self):
+        config = SweepConfig(
+            sigma_counts=(1, 2, 2), windows=(8, 8), seeds=(1,), bins=4, total_samples=64
+        )
+        report = run_sweep(config)
+        assert len(report.rows) == 2 * 1 * 1 * 3
+        lines = report.summary_csv_bytes().decode().splitlines()
+        assert lines[0] == "window,metric,spearman,mean_score_k1,mean_score_k2"
+        assert len(lines) == 1 + 1 * 3
+
+    def test_seed_order_does_not_change_output(self):
+        shuffled = run_sweep(replace(SMALL, seeds=(3, 1, 2, 7, 5)))
+        ordered = run_sweep(replace(SMALL, seeds=(1, 2, 3, 5, 7)))
+        assert shuffled.report_csv_bytes() == ordered.report_csv_bytes()
+        assert shuffled.summary_csv_bytes() == ordered.summary_csv_bytes()
+
+
 class TestValidation:
     def test_empty_lists_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -340,6 +367,11 @@ class TestValidation:
 
     def test_oversized_sigma_count_rejected(self):
         with pytest.raises(ConfigurationError):
+            SweepConfig(sigma_counts=(1, 4096), total_samples=1024)
+
+    def test_oversized_sigma_count_is_the_generator_error(self):
+        message = r"^num_sigmas \(4096\) exceeds total_samples \(1024\)$"
+        with pytest.raises(ConfigurationError, match=message):
             SweepConfig(sigma_counts=(1, 4096), total_samples=1024)
 
     def test_window_must_leave_two_estimates(self):
