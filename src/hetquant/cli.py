@@ -10,9 +10,7 @@ partial file behind.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
-from typing import TypeVar
 
 from .distribution import BINNINGS, distribution_csv_bytes, read_distribution_csv
 from .divergence import LOG_BASES, METRICS, evaluate
@@ -21,6 +19,7 @@ from .measure import VARIANTS, MeasureConfig, measure
 from .series import (
     SPACINGS,
     SegmentedGeneratorConfig,
+    config_from,
     format_float,
     generate_segmented,
     read_csv,
@@ -135,22 +134,14 @@ def _build_parser() -> _Parser:
     return parser
 
 
-_Config = TypeVar("_Config")
-
-
-def _config(cls: type[_Config], args: argparse.Namespace) -> _Config:
-    """The config ``cls`` built from the flags whose destinations name its fields."""
-    return cls(**{field.name: getattr(args, field.name) for field in dataclasses.fields(cls)})
-
-
 def _cmd_generate(args: argparse.Namespace) -> int:
-    series = generate_segmented(_config(SegmentedGeneratorConfig, args))
+    series = generate_segmented(config_from(SegmentedGeneratorConfig, args))
     write_csv(series, args.out)
     return 0
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    config = _config(MeasureConfig, args)
+    config = config_from(MeasureConfig, args)
     series = read_csv(sys.stdin.buffer if args.input == "-" else args.input)
     report = measure(series, config)
     if args.emit_distribution:
@@ -181,7 +172,7 @@ def _cmd_divergence(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    report = run_sweep(_config(SweepConfig, args), workers=args.workers)
+    report = run_sweep(config_from(SweepConfig, args), workers=args.workers)
     write_bytes(report.report_csv_bytes(), args.out)
     if args.summary:
         write_bytes(report.summary_csv_bytes(), args.summary)

@@ -65,10 +65,17 @@ class ProbabilityDistribution:
 
     @property
     def midpoints(self) -> np.ndarray:
-        return (self.edges[:-1] + self.edges[1:]) / 2.0
+        return _halfway(self.edges[:-1], self.edges[1:])
 
     def same_edges(self, other: "ProbabilityDistribution") -> bool:
         return np.array_equal(self.edges, other.edges)
+
+
+def _halfway(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``(a + b) / 2`` elementwise, or ``a / 2 + b / 2`` where the sum overflows."""
+    with np.errstate(over="ignore"):
+        plain = (a + b) / 2.0
+    return np.where(np.isfinite(plain), plain, a / 2.0 + b / 2.0)
 
 
 def estimate_pdf(variances, bins: int, binning: str = "linear") -> ProbabilityDistribution:
@@ -106,6 +113,11 @@ def estimate_pdf(variances, bins: int, binning: str = "linear") -> ProbabilityDi
         if top <= 0.0:
             top = 1.0
         edges = counting = np.linspace(0.0, top, bins + 1)
+        # Near the subnormal floor the steps of linspace round to 0 or go backwards.
+        if np.any(np.diff(edges) <= 0):
+            raise ParameterError(
+                f"the largest variance, {top!r}, is too small to split into {bins} linear bins"
+            )
     occupied, _ = np.histogram(values, bins=counting)
     counts = np.zeros(bins)
     counts[: occupied.size] = occupied
@@ -155,8 +167,9 @@ def read_distribution_csv(source) -> ProbabilityDistribution:
 
     Edges are reconstructed between consecutive midpoints. A single-bin
     file gets the narrowest bin around its midpoint, one ``np.spacing`` to
-    either side, whose midpoint is the file's to the bit (short of the
-    largest floats, where the edge sum overflows). Masses must sum to 1.
+    either side, whose midpoint is the file's to the bit. Where two edges
+    sum past the largest float, their midpoint is taken as the sum of their
+    halves; an outer edge that overflows is rejected. Masses must sum to 1.
     """
     table = read_table(source, {"bin_midpoint,mass": ("bin_midpoint", "mass")})
     mids, masses = table.T
@@ -169,7 +182,7 @@ def read_distribution_csv(source) -> ProbabilityDistribution:
             step = np.spacing(abs(mids[0]))
             edges = np.array([mids[0] - step, mids[0] + step])
         else:
-            inner = (mids[:-1] + mids[1:]) / 2.0
+            inner = _halfway(mids[:-1], mids[1:])
             first = mids[0] - (inner[0] - mids[0])
             last = mids[-1] + (mids[-1] - inner[-1])
             edges = np.concatenate(([first], inner, [last]))

@@ -16,7 +16,8 @@ import operator
 import os
 import stat
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import TypeVar
 
 import numpy as np
 
@@ -69,6 +70,16 @@ def integer(value, name: str, minimum: int | None, error: type = ConfigurationEr
     if minimum is not None and number < minimum:
         raise error(f"{name} must be at least {minimum}, got {number}")
     return number
+
+
+_Config = TypeVar("_Config")
+
+
+def config_from(cls: type[_Config], source, **given) -> _Config:
+    """The dataclass ``cls`` built from ``given``, plus ``source``'s attribute of the
+    same name for every other field; a source that lacks one raises ``AttributeError``."""
+    taken = {field.name: getattr(source, field.name) for field in fields(cls) if field.name not in given}
+    return cls(**taken, **given)
 
 
 @dataclass(frozen=True, eq=False)

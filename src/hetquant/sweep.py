@@ -23,7 +23,7 @@ from .distribution import estimate_pdf  # not called here; kept for perfbench/sp
 from .errors import ConfigurationError, CorrelationUndefinedError, ParameterError
 from .local_variance import local_variance  # not called here; kept for perfbench/spans.py, which hooks this name
 from .measure import METRIC_ORDER, MeasureConfig, measure
-from .series import SegmentedGeneratorConfig, csv_bytes, generate_segmented, integer, ordered_map
+from .series import SegmentedGeneratorConfig, config_from, csv_bytes, generate_segmented, integer, ordered_map
 
 __all__ = [
     "SweepConfig",
@@ -79,8 +79,8 @@ def _rank_correlation(rx: np.ndarray, ry: np.ndarray) -> float | None:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Sweep grids, each stored as a sorted tuple of distinct ints, plus the
-    generator and histogram settings of all cells (``binning`` as in ``MeasureConfig``)."""
+    """Sweep grids, each stored as a sorted tuple of distinct ints, plus the settings
+    of all cells, named as the fields of ``SegmentedGeneratorConfig`` and ``MeasureConfig``."""
 
     sigma_counts: tuple[int, ...] = (1, 2, 4, 8, 16, 32, 64)
     windows: tuple[int, ...] = (32, 64, 128, 256)
@@ -117,15 +117,7 @@ class SweepConfig:
 
     def _generator_config(self, k: int, seed: int) -> SegmentedGeneratorConfig:
         """Generator settings of the (k, seed) cell."""
-        return SegmentedGeneratorConfig(
-            total_samples=self.total_samples,
-            num_sigmas=k,
-            sigma_min=self.sigma_min,
-            sigma_max=self.sigma_max,
-            spacing=self.spacing,
-            shuffle_segments=self.shuffle_segments,
-            seed=seed,
-        )
+        return config_from(SegmentedGeneratorConfig, self, num_sigmas=k, seed=seed)
 
     def _measure_config(self, window: int) -> MeasureConfig:
         """Histogram settings with which every cell scores its series at ``window``."""

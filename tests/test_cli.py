@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -18,10 +19,12 @@ from hetquant import (
     ProbabilityDistribution,
     SegmentedGeneratorConfig,
     SweepConfig,
+    TimeSeries,
     format_float,
     generate_segmented,
     measure,
     read_csv,
+    write_csv,
     write_distribution_csv,
 )
 from hetquant.cli import _build_parser, main
@@ -268,6 +271,22 @@ class TestAnalyze:
             "their window sums of squares overflow float64\n"
         )
         assert caught == []
+
+    @pytest.mark.parametrize("scale", [5.62e-162, 1e-162])
+    def test_subnormal_variances_exit_one_for_linear_bins(self, tmp_path, capsys, scale):
+        config = SegmentedGeneratorConfig(total_samples=4096, num_sigmas=4, seed=1)
+        tiny = tmp_path / "tiny.csv"
+        write_csv(TimeSeries(generate_segmented(config).samples * scale), tiny)
+        code, out, err = run_cli(
+            capsys, "analyze", "--input", str(tiny),
+            "--window", "32", "--bins", "64", "--binning", "linear",
+        )
+        assert code == 1
+        assert out == ""
+        assert re.fullmatch(
+            r"error: parameter: the largest variance, \S+, is too small to split into 64 linear bins\n",
+            err,
+        )
 
     def test_standard_input_scores_like_the_path(self, tmp_path, capsys):
         target = tmp_path / "series.csv"

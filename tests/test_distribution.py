@@ -1,6 +1,7 @@
 """Histogram construction, the uniform reference, and distribution CSV I/O."""
 
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -75,6 +76,12 @@ class TestEstimatePdf:
             estimate_pdf(np.array([0.5, -0.1]), 4)
         with pytest.raises(ParameterError):
             estimate_pdf(np.array([0.5]), 0)
+
+    @pytest.mark.parametrize("top, bins", [(4.4e-323, 16), (5e-324, 4)])
+    def test_rejects_a_top_too_small_for_distinct_linear_edges(self, top, bins):
+        message = f"^the largest variance, {top!r}, is too small to split into {bins} linear bins$"
+        with pytest.raises(ParameterError, match=message):
+            estimate_pdf(np.array([top, 0.0]), bins)
 
 
 class TestLogBinning:
@@ -223,6 +230,24 @@ class TestDistributionCsv:
         back = read_distribution_csv(io.BytesIO(data))
         assert back.midpoints.tobytes() == np.array([midpoint]).tobytes()
         assert distribution_csv_bytes(back) == data
+
+    @pytest.mark.parametrize(
+        "edges, masses, data",
+        [
+            pytest.param([1e308, 1.7e308], [1.0], b"bin_midpoint,mass\n1.35e+308,1\n", id="one-bin"),
+            pytest.param(
+                [1e308, 1.5e308, 1.7e308],
+                [0.5, 0.5],
+                b"bin_midpoint,mass\n1.25e+308,0.5\n1.6e+308,0.5\n",
+                id="two-bins",
+            ),
+        ],
+    )
+    def test_midpoints_near_the_float_limit_round_trip(self, edges, masses, data):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert distribution_csv_bytes(ProbabilityDistribution(edges, masses)) == data
+            assert distribution_csv_bytes(read_distribution_csv(io.BytesIO(data))) == data
 
     def test_4096_bins_read_back_bit_identical(self):
         rng = np.random.default_rng(11)

@@ -6,6 +6,7 @@ import re
 import stat
 import time
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -853,6 +854,16 @@ def test_integer_arguments_are_stored_as_python_ints():
     assert type(LocalVarianceSeries(np.array([0.1]), window=np.int64(2)).window) is int
     assert type(local_variance(TimeSeries(np.arange(4.0)), np.uint8(2)).window) is int
     assert segment_lengths(np.int64(0), np.int8(3)) == [0, 0, 0]
+
+
+def test_config_from_takes_every_field_it_is_not_given():
+    source = SimpleNamespace(total_samples=64, num_sigmas=2, sigma_min=0.5, sigma_max=3.0, seed=1)
+    with pytest.raises(AttributeError, match="spacing"):
+        series_module.config_from(SegmentedGeneratorConfig, source)
+    built = series_module.config_from(
+        SegmentedGeneratorConfig, source, spacing="logarithmic", shuffle_segments=True
+    )
+    assert built == SegmentedGeneratorConfig(64, 2, 0.5, 3.0, "logarithmic", True, 1)
 
 
 class TestStreamedWrite:

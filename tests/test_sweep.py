@@ -135,8 +135,19 @@ class TestSweepRows:
             assert h_h == pytest.approx(1.0 - math.sqrt(1.0 - h_b), abs=1e-12), key
             assert distance == pytest.approx(-math.log(h_b), abs=1e-12), key
 
-    @pytest.mark.parametrize("binning", ["log", "linear"])
-    def test_cells_equal_measure(self, binning):
+    @pytest.mark.parametrize(
+        "binning, generator",
+        [
+            pytest.param("log", {}, id="log"),
+            pytest.param("linear", {}, id="linear"),
+            pytest.param(
+                "log",
+                {"sigma_min": 0.5, "sigma_max": 3.0, "spacing": "logarithmic", "shuffle_segments": True},
+                id="log-generator-fields",
+            ),
+        ],
+    )
+    def test_cells_equal_measure(self, binning, generator):
         config = SweepConfig(
             sigma_counts=(1, 4, 16),
             windows=(16, 32),
@@ -144,12 +155,15 @@ class TestSweepRows:
             total_samples=2048,
             seeds=(1, 2),
             binning=binning,
+            **generator,
         )
         report = run_sweep(config)
         assert {row.metric for row in report.rows} == set(METRIC_ORDER)
         for row in report.rows:
             series = generate_segmented(
-                SegmentedGeneratorConfig(total_samples=2048, num_sigmas=row.k, seed=row.seed)
+                SegmentedGeneratorConfig(
+                    total_samples=2048, num_sigmas=row.k, seed=row.seed, **generator
+                )
             )
             measure_config = MeasureConfig(window=row.window, bins=16, binning=binning)
             expected = measure(series, measure_config).scores[METRIC_ORDER.index(row.metric)]
