@@ -25,6 +25,12 @@ __all__ = ["LocalVarianceSeries", "local_variance"]
 # numerical corruption rather than rounding.
 _NEGATIVE_TOLERANCE = 1e-9
 
+# Fewest outputs per block. A block's slices of 2**13 + w - 1 float64s stay
+# under glibc's default mmap threshold (128 KiB) up to w = 2**11, as
+# series._BLOCK_BYTES does; larger windows take 4 w outputs, so the w - 1
+# samples each block reads again cost at most a quarter more work.
+_BLOCK_OUTPUTS = 1 << 13
+
 
 def variance_array(values) -> np.ndarray:
     """``frozen_array`` copy of ``values``, which must be nonempty and nonnegative."""
@@ -118,27 +124,48 @@ def local_variance(series: TimeSeries, window: int) -> LocalVarianceSeries:
     ones can leave residues of this kind where the true variance is 0
     (none at a power-of-two w, whose sums of equal terms are exact). The
     floor is 0 for a constant series whose mean is exact.
+
+    Outputs are computed in blocks of max(2**13, 4 w): block [a, b) reads
+    only samples [a, b + w - 1), and since each output is a summation tree
+    over its own window, the bits do not depend on the block size. Memory
+    is 16 bytes per sample (the result and its frozen copy; 17 at peak,
+    while the copy's one-byte finiteness mask is held) plus O(block + w)
+    scratch.
     """
-    n = len(series)
+    samples = series.samples
+    n = samples.size
     window = integer(window, "window", 2, ParameterError)
     if window > n:
         raise ParameterError(f"window ({window}) exceeds series length ({n})")
+    n_out = n - window + 1
+    block = max(_BLOCK_OUTPUTS, 4 * window)
+    variances = np.empty(n_out)
+    block_max_sq, block_min = [], []
     # Overflow turns up as a zero floor that is not finite, checked below.
     with np.errstate(over="ignore", invalid="ignore"):
-        x = series.samples - series.samples.mean()
-        mean = _window_sums(x, window)
-        mean /= window
-        mean_sq = _window_sums(x * x, window)
-        mean_sq /= window
-        variances = mean_sq - mean * mean
+        center = samples.mean()
+        for a in range(0, n_out, block):
+            b = min(a + block, n_out)
+            x = samples[a : b + window - 1] - center
+            mean = _window_sums(x, window)
+            mean /= window
+            np.multiply(x, x, out=x)
+            mean_sq = _window_sums(x, window)
+            mean_sq /= window
+            np.multiply(mean, mean, out=mean)
+            out = variances[a:b]
+            np.subtract(mean_sq, mean, out=out)
+            block_max_sq.append(mean_sq.max())
+            block_min.append(out.min())
+            np.maximum(out, 0.0, out=out)
+    # np.max and np.min, unlike Python's, keep a NaN from any block.
     depth_terms = window.bit_length() + window.bit_count()
-    zero_floor = float(1.5 * depth_terms * np.finfo(np.float64).eps * mean_sq.max())
+    zero_floor = float(1.5 * depth_terms * np.finfo(np.float64).eps * np.max(block_max_sq))
     if not np.isfinite(zero_floor):
         raise ParameterError("samples are too large: their window sums of squares overflow float64")
-    lowest = variances.min()
+    lowest = np.min(block_min)
     if lowest < -max(_NEGATIVE_TOLERANCE, zero_floor):
         raise InternalError(
             f"box-filter variance fell to {lowest}, beyond rounding tolerance"
         )
-    np.maximum(variances, 0.0, out=variances)
     return LocalVarianceSeries(variances, window=window, zero_floor=zero_floor)

@@ -185,8 +185,12 @@ def generate_segmented(config: SegmentedGeneratorConfig) -> TimeSeries:
     if config.shuffle_segments:
         sigmas = rng.permutation(sigmas)
     lengths = segment_lengths(config.total_samples, config.num_sigmas)
-    parts = [rng.normal(0.0, sigma, length) for sigma, length in zip(sigmas, lengths)]
-    return TimeSeries(np.concatenate(parts))
+    samples = np.empty(config.total_samples)
+    start = 0
+    for sigma, length in zip(sigmas, lengths):
+        samples[start : start + length] = rng.normal(0.0, sigma, length)
+        start += length
+    return TimeSeries(samples)
 
 
 def _parse_value(token: str, row: int, column: str) -> float:

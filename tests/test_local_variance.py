@@ -1,5 +1,6 @@
 """Box-filter variance against a naive two-pass oracle, plus LTI properties."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,6 +16,8 @@ from hetquant import (
     TimeSeries,
     local_variance,
 )
+from hetquant.local_variance import _BLOCK_OUTPUTS as BLOCK
+from hetquant.local_variance import _window_sums
 
 
 def two_pass_variance(samples: np.ndarray, window: int) -> np.ndarray:
@@ -22,6 +25,17 @@ def two_pass_variance(samples: np.ndarray, window: int) -> np.ndarray:
     windows = sliding_window_view(samples, window)
     means = windows.mean(axis=1)
     return ((windows - means[:, None]) ** 2).mean(axis=1)
+
+
+def unblocked_variance(samples: np.ndarray, window: int) -> tuple[np.ndarray, float]:
+    """The kernel's formula over the whole series at once, with no blocks:
+    its clamped variances and its zero floor."""
+    x = samples - samples.mean()
+    mean = _window_sums(x, window) / window
+    mean_sq = _window_sums(x * x, window) / window
+    depth_terms = window.bit_length() + window.bit_count()
+    zero_floor = float(1.5 * depth_terms * np.finfo(np.float64).eps * mean_sq.max())
+    return np.maximum(mean_sq - mean * mean, 0.0), zero_floor
 
 
 class TestExamples:
@@ -74,8 +88,14 @@ class TestValidation:
 
     @pytest.mark.parametrize(
         "samples",
-        [np.tile([1e200, -1e200], 8), np.full(8, 1.7e308), np.tile([1e154, -1e154], 8)],
-        ids=["squares-overflow", "mean-overflows", "sums-overflow"],
+        [
+            np.tile([1e200, -1e200], 8),
+            np.full(8, 1.7e308),
+            np.tile([1e154, -1e154], 8),
+            # Only the windows over the spike overflow, all in the last block.
+            np.concatenate((np.zeros(3 * BLOCK - 10), [1e155], np.zeros(9))),
+        ],
+        ids=["squares-overflow", "mean-overflows", "sums-overflow", "overflow-in-a-later-block"],
     )
     def test_overflowing_samples_raise_one_error_and_no_warning(self, samples):
         with warnings.catch_warnings():
@@ -87,6 +107,69 @@ class TestValidation:
         result = local_variance(TimeSeries(np.tile([1e150, -1e150], 8)), window=4)
         np.testing.assert_allclose(result.variances, 1e300)
         assert np.isfinite(result.zero_floor)
+
+
+class TestBlocks:
+    """Outputs are computed in blocks of max(BLOCK, 4 w); each must carry
+    the bits of the whole-series formula, whatever block it falls in."""
+
+    @staticmethod
+    def assert_unblocked_bits(samples, window):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = local_variance(TimeSeries(samples), window)
+        variances, zero_floor = unblocked_variance(samples, window)
+        assert result.variances.tobytes() == variances.tobytes()
+        assert result.zero_floor == zero_floor
+        return result
+
+    @pytest.mark.parametrize("window", [2, 5, 100, 128])
+    @pytest.mark.parametrize(
+        "outputs", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 17],
+        ids=["block-1", "block", "block+1", "several-blocks"],
+    )
+    def test_block_edges(self, outputs, window):
+        samples = np.random.default_rng(outputs + window).normal(3.0, 2.0, outputs + window - 1)
+        self.assert_unblocked_bits(samples, window)
+
+    @pytest.mark.parametrize("window", [BLOCK, BLOCK + 3, 3 * BLOCK])
+    def test_windows_of_a_block_and_more(self, window):
+        """Blocks of 4 w outputs, two and a half of them."""
+        samples = np.random.default_rng(window).normal(0.0, 1.0, 10 * window + window - 1)
+        self.assert_unblocked_bits(samples, window)
+
+    @pytest.mark.parametrize("n", [2, 777, BLOCK + 9, 4 * BLOCK + 1])
+    def test_window_equal_to_length(self, n):
+        samples = np.random.default_rng(n).normal(1e3, 1.0, n)
+        assert len(self.assert_unblocked_bits(samples, n)) == 1
+
+    def test_constant_stretch_across_a_block_edge(self):
+        """This stretch's windows leave nonzero residues (w is not a power
+        of two) in both blocks it spans, and keep them bit for bit."""
+        rng, window = np.random.default_rng(100), 100
+        samples = np.concatenate(
+            (rng.normal(0, 1, BLOCK - 700), np.full(1400, 7.3), rng.normal(0, 2, 2 * BLOCK))
+        )
+        result = self.assert_unblocked_bits(samples, window)
+        inside = result.variances[BLOCK - 700 : BLOCK + 700 - window + 1]
+        assert np.any(inside[: 700 - window + 1] > 0) and np.any(inside[700:] > 0)
+        assert inside.max() <= result.zero_floor
+
+
+class TestMemory:
+    def test_peak_is_the_result_and_its_copy(self):
+        """16 bytes per sample plus one block's scratch; the whole-series
+        formula holds x, x*x, the doubling levels and both means, 48."""
+        n = 1 << 20
+        series = TimeSeries(np.random.default_rng(1).normal(0, 1, n))
+        tracemalloc.start()
+        try:
+            result = local_variance(series, 128)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result) == n - 127
+        assert peak < 20 * n
 
 
 class TestZeroFloor:

@@ -137,6 +137,21 @@ class TestGenerator:
             segment_stds(plain), segment_stds(mixed), rtol=0.15
         )
 
+    @pytest.mark.parametrize("num_sigmas", [1, 20])
+    def test_peak_is_the_samples_and_their_copy(self, num_sigmas):
+        """Segments are drawn into one array; a list of them joined by
+        ``np.concatenate`` would add 8 bytes per row."""
+        rows = 1 << 20
+        config = SegmentedGeneratorConfig(total_samples=rows, num_sigmas=num_sigmas, seed=1)
+        tracemalloc.start()
+        try:
+            series = generate_segmented(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(series) == rows
+        assert peak < 20 * rows
+
     @pytest.mark.parametrize(
         "kwargs",
         [
