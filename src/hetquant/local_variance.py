@@ -33,7 +33,7 @@ _BLOCK_OUTPUTS = 1 << 13
 
 
 def variance_array(values) -> np.ndarray:
-    """``frozen_array`` copy of ``values``, which must be nonempty and nonnegative."""
+    """``frozen_array`` of ``values``, which must be nonempty and nonnegative."""
     variances = frozen_array(values, "variances")
     if variances.size < 1:
         raise ParameterError("variances must hold at least one value")
@@ -48,7 +48,9 @@ class LocalVarianceSeries:
 
     ``zero_floor`` is the level at or below which an estimate is rounding
     residue of the box filter rather than signal; 0 means every positive
-    estimate is signal.
+    estimate is signal. ``variances`` is copied unless it is a read-only
+    float64 array that owns its data, which is kept as it is (see
+    ``frozen_array``).
     """
 
     variances: np.ndarray

@@ -50,8 +50,20 @@ def format_float(x: float) -> str:
 
 
 def frozen_array(values, name: str) -> np.ndarray:
-    """Read-only float64 copy of ``values``, which must be 1-D and finite."""
-    array = np.array(values, dtype=np.float64)
+    """``values`` as a read-only float64 array, which must be 1-D and finite.
+
+    A read-only float64 ``ndarray`` that owns its data (``base is None``) is
+    taken as it is, without a copy: its caller hands it over and must not
+    make it writeable again. Anything else, a writeable array or a view of
+    one included, is copied.
+    """
+    owned = (
+        type(values) is np.ndarray
+        and values.dtype == np.float64
+        and values.base is None
+        and not values.flags.writeable
+    )
+    array = values if owned else np.array(values, dtype=np.float64)
     if array.ndim != 1:
         raise ParameterError(f"{name} must be one-dimensional")
     if not np.isfinite(array).all():
@@ -88,7 +100,9 @@ class TimeSeries:
 
     ``times`` holds the optional timestamp column of a two-column CSV; it is
     carried through round trips but ignored by every analysis. Equality
-    compares sample (and timestamp) values.
+    compares sample (and timestamp) values. Each column is copied unless it
+    is a read-only float64 array that owns its data, which is kept as it is
+    (see ``frozen_array``).
     """
 
     samples: np.ndarray
@@ -311,22 +325,33 @@ def ordered_map(fn: Callable, items: list, workers: int) -> Iterator:
 # about 1 MB, and larger blocks parse no faster.
 _BLOCK_BYTES = 1 << 16
 _FORMAT_ROWS = 1 << 16
+# Bytes of data rows per range that a worker process parses. A file of less
+# than two ranges is read in this process, where starting a pool would cost
+# more than the other CPUs save. Ranges of this size, many per worker, parsed
+# a 20 MB file faster than one range per CPU: a worker that finishes early
+# takes the next range.
+_RANGE_BYTES = 1 << 20
+# Bytes read at a time past a nominal cut, looking for the end of its line.
+_PROBE = 256
 
 
-def _blocks(handle):
-    """Yield ``(offset, block)`` pieces of a binary stream, in order.
+def _blocks(handle, offset: int = 0, end: int | None = None):
+    """Yield ``(offset, block)`` pieces of a binary stream, in order, from
+    its position, which lies ``offset`` bytes into the input, up to the byte
+    at ``end`` (None: the end of the stream).
 
     Each block holds about ``_BLOCK_BYTES`` and ends just after its last
     ``b"\\n"`` or ``b"\\r"``, except the last, which ends where the stream
-    does. A ``b"\\r"`` that is the last byte read may be half of a
-    ``\\r\\n`` pair, so it waits for the next read. A cut therefore never
-    splits a UTF-8 character or a ``\\r\\n`` pair, and the lines of the
-    decoded blocks are the lines of the whole input. A stretch with no
+    or the range does. A ``b"\\r"`` that is the last byte read may be half
+    of a ``\\r\\n`` pair, so it waits for the next read. A cut therefore
+    never splits a UTF-8 character or a ``\\r\\n`` pair, and the lines of
+    the decoded blocks are the lines of the whole input. A stretch with no
     ``b"\\n"`` or ``b"\\r"`` stays in one block.
     """
-    offset = 0
+    position = offset
     pending: list[bytes] = []
-    while data := handle.read(_BLOCK_BYTES):
+    while data := handle.read(_BLOCK_BYTES if end is None else min(_BLOCK_BYTES, end - position)):
+        position += len(data)
         cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, len(data) - 1)) + 1
         if cut == 0:
             pending.append(data)
@@ -340,6 +365,74 @@ def _blocks(handle):
     tail = b"".join(pending)
     if tail:
         yield offset, tail
+
+
+def _next_cut(handle, position: int) -> int:
+    """The first offset past ``position`` at which ``_blocks`` may cut a
+    file: just after a ``b"\\n"``, or after a ``b"\\r"`` that no ``b"\\n"``
+    follows. The end of the file if there is none."""
+    handle.seek(position)
+    while data := handle.read(_PROBE):
+        ends = [at for at in (data.find(b"\n"), data.find(b"\r")) if at >= 0]
+        if ends:
+            at = min(ends)
+            crlf = data[at : at + 2] == b"\r\n" or (
+                data[at:] == b"\r" and handle.read(1) == b"\n"
+            )
+            return position + at + 1 + crlf
+        position += len(data)
+    return position
+
+
+def _shared_path(source, handle, start: int) -> str | None:
+    """A path that opens the regular file ``handle`` reads, for worker
+    processes to open, if the file holds at least two ``_RANGE_BYTES`` past
+    ``start`` and more than one CPU is usable; None for a stream, any other
+    kind of file, a smaller file or one CPU.
+
+    The path is resolved, so that ``/dev/stdin`` redirected from a file
+    names that file rather than the worker's own standard input. The size
+    is checked first, so that reading a small file resolves no path.
+    """
+    if not isinstance(source, (str, os.PathLike)):
+        return None
+    opened = os.fstat(handle.fileno())
+    if (
+        not stat.S_ISREG(opened.st_mode)
+        or opened.st_size - start < 2 * _RANGE_BYTES
+        or usable_cpus() < 2
+    ):
+        return None
+    path = os.path.realpath(source)
+    try:
+        same = os.path.samestat(os.stat(path), opened)
+    except OSError:
+        return None
+    return path if same else None
+
+
+def _ranges(handle, start: int) -> list[tuple[int, int]]:
+    """Split the bytes of a file from ``start`` to its end into ranges
+    ``(start, end)`` of at least ``_RANGE_BYTES``, each cut where
+    ``_next_cut`` finds the end of a line. The handle is left where it was.
+
+    A nominal cut that the line before it has already passed is skipped,
+    and cutting stops at the end of the file, so a long line is scanned
+    once however many nominal cuts it spans."""
+    size = os.fstat(handle.fileno()).st_size
+    parts = (size - start) // _RANGE_BYTES
+    position = handle.tell()
+    cuts = [start]
+    for part in range(1, parts):
+        nominal = start + (size - start) * part // parts
+        if nominal < cuts[-1]:
+            continue
+        cut = _next_cut(handle, nominal)
+        if cut >= size:
+            break
+        cuts.append(cut)
+    handle.seek(position)
+    return list(zip(cuts, cuts[1:] + [size]))
 
 
 def _columns(line: str, headers: dict[str, tuple[str, ...]]) -> tuple[str, ...]:
@@ -389,42 +482,99 @@ def _parse_block(lines: list[str], first_row: int, names: tuple[str, ...]) -> np
     return _parse_rows(lines, first_row, names)
 
 
-def read_table(source, headers: dict[str, tuple[str, ...]]) -> np.ndarray:
-    """Parse a CSV byte stream or path into an ``(n, columns)`` float64 array.
+def _parse_blocks(blocks, names: tuple[str, ...] | None, first_row: int) -> tuple:
+    """Parse the data rows in ``blocks``, ``(offset, bytes)`` pieces that
+    ``_blocks`` cut, numbering them from ``first_row``.
+
+    Returns the ``(n, columns)`` table of each block, the number of rows,
+    and the first row error or None. With ``names`` None the rows are only
+    decoded and counted. Invalid UTF-8 raises at once.
+    """
+    tables: list[np.ndarray] = []
+    rows = 0
+    error: IngestionError | None = None
+    for offset, block in blocks:
+        lines = _decode(block, offset).splitlines()
+        # After an error the rest is still decoded: invalid UTF-8 anywhere
+        # in the input takes precedence, as when it was decoded whole.
+        if names is not None and error is None and lines:
+            try:
+                tables.append(_parse_block(lines, first_row + rows, names))
+            except IngestionError as exc:
+                error = exc
+        rows += len(lines)
+    return tables, rows, error
+
+
+def _read_range(item: tuple, first_row: int = 1) -> tuple:
+    """``_parse_blocks`` on the bytes ``[start, end)`` of the file that
+    ``item``, ``(path, opened, start, end, names)``, names; ``opened`` is
+    the ``os.stat`` of the file the caller has open, which ``path`` must
+    still open."""
+    path, opened, start, end, names = item
+    with open(path, "rb") as handle:
+        if not os.path.samestat(os.fstat(handle.fileno()), opened):
+            raise OSError(f"{path} was replaced while it was read")
+        handle.seek(start)
+        return _parse_blocks(_blocks(handle, start, end), names, first_row)
+
+
+def read_table(source, headers: dict[str, tuple[str, ...]]) -> list[np.ndarray]:
+    """Parse a CSV byte stream or path into one float64 array per column.
 
     ``headers`` maps each accepted header line to its column names. Every
     data row must hold finite numbers; errors name the offending data row
-    (1-based, header excluded) and column. The input is read in blocks of
-    about 64 KiB, so parsing holds one block at a time plus the parsed
-    values, 8 bytes per value.
+    (1-based, header excluded) and column. Each column is a read-only
+    array that owns its data, so a container can take it without a copy.
+
+    A regular file with at least two ``_RANGE_BYTES`` (1 MiB) of data
+    rows, read where more than one CPU is usable, is split at line ends
+    into ranges of about that size, which a pool of one process per usable
+    CPU parses, each worker opening the file and reading its own ranges.
+    Anything else, a stream or a pipe included, is parsed in this process.
+    Either way the input is read in blocks of about 64 KiB, and the values,
+    errors and precedence are the same: invalid UTF-8 anywhere, reported at
+    its first position, then a bad header, then the first bad row. Parsing
+    holds the parsed values twice, 16 bytes per value, while it joins them.
     """
-    names: tuple[str, ...] | None = None
-    parts: list[np.ndarray] = []
-    rows = 0
-    error: IngestionError | None = None
     with _open_binary(source) as handle:
-        for offset, block in _blocks(handle):
-            lines = _decode(block, offset).splitlines()
-            # After an error the rest is still decoded: invalid UTF-8 anywhere
-            # in the input takes precedence, as when it was decoded whole.
-            if error is not None:
-                continue
-            try:
-                if names is None:
-                    names = _columns(lines[0], headers)
-                    del lines[0]
-                if lines:
-                    parts.append(_parse_block(lines, rows + 1, names))
-            except IngestionError as exc:
-                error = exc
-            rows += len(lines)
-    if error is not None:
-        raise error
-    if names is None:
-        raise IngestionError("empty file")
+        blocks = _blocks(handle)
+        first = next(blocks, None)
+        if first is None:
+            raise IngestionError("empty file")
+        _, block = first
+        header = _decode(block, 0).splitlines(keepends=True)[0]
+        start = len(header.encode("utf-8"))
+        try:
+            names, header_error = _columns(header, headers), None
+        except IngestionError as exc:
+            names, header_error = None, exc
+        path = _shared_path(source, handle, start)
+        spans = _ranges(handle, start) if path else []
+        if len(spans) > 1:
+            opened = os.fstat(handle.fileno())
+            items = [(path, opened, a, b, names) for a, b in spans]
+            # Consumed here, so the pool is shut down before this returns.
+            results = list(ordered_map(_read_range, items, usable_cpus()))
+        else:
+            rest = itertools.chain([(start, block[start:])], blocks)
+            results = [_parse_blocks(rest, names, 1)]
+    if header_error is not None:
+        raise header_error
+    rows = 0
+    for index, (_, count, error) in enumerate(results):
+        if error is not None:
+            if index:  # its worker numbered the rows of its range from 1
+                error = _read_range(items[index], rows + 1)[2]
+            raise error
+        rows += count
     if not rows:
         raise IngestionError("no data rows")
-    return np.concatenate(parts)
+    tables = [table for part, _, _ in results for table in part]
+    columns = [np.concatenate([table[:, j] for table in tables]) for j in range(len(names))]
+    for column in columns:
+        column.flags.writeable = False
+    return columns
 
 
 def read_csv(source) -> TimeSeries:
@@ -432,14 +582,17 @@ def read_csv(source) -> TimeSeries:
 
     The first line must be the header ``value`` or ``t,value``. Every data
     row must hold finite numbers; errors name the offending data row
-    (1-based, header excluded). The input is read in blocks of about 64 KiB,
-    so parsing holds one block at a time plus the parsed values, 8 bytes
-    per row (16 with ``t``).
+    (1-based, header excluded). A large regular file is parsed on every
+    usable CPU, each worker process reading its own byte ranges; a stream
+    or a small file is parsed in this process. Both read blocks of about
+    64 KiB and give the same bits and the same messages. The series holds
+    8 bytes per row (16 with ``t``) and takes the parsed columns without a
+    copy; parsing holds twice that while it joins them.
     """
-    table = read_table(source, {"value": ("value",), "t,value": ("t", "value")})
-    if table.shape[1] == 2:
-        return TimeSeries(table[:, 1], times=table[:, 0])
-    return TimeSeries(table[:, 0])
+    columns = read_table(source, {"value": ("value",), "t,value": ("t", "value")})
+    if len(columns) == 2:
+        return TimeSeries(columns[1], times=columns[0])
+    return TimeSeries(columns[0])
 
 
 def csv_chunks(header: str, *columns) -> Iterator[bytes]:

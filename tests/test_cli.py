@@ -27,6 +27,7 @@ from hetquant import (
     write_csv,
     write_distribution_csv,
 )
+from hetquant import series as series_module
 from hetquant.cli import _build_parser, main
 
 
@@ -302,6 +303,55 @@ class TestAnalyze:
         out = run_fresh(cli, "analyze", "--input", "-", *flags, stdin=target.read_text())
         assert out == expected
 
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin here")
+    def test_dev_stdin_redirected_from_a_file_is_split_like_the_file(self, tmp_path, capsys):
+        """``/dev/stdin`` opened from a file is that file in this process
+        only: workers must open the file itself."""
+        target = tmp_path / "series.csv"
+        main(["generate", "--samples", "4096", "--num-sigmas", "4", "--out", str(target)])
+        flags = ("--window", "32", "--bins", "16")
+        code, expected, _ = run_cli(capsys, "analyze", "--input", str(target), *flags)
+        assert code == 0
+        script = (
+            "import sys\nfrom hetquant import series\n"
+            "series._RANGE_BYTES, series.usable_cpus = 1024, lambda: 2\n"
+            "split, ranges = series.ordered_map, []\n"
+            "series.ordered_map = lambda fn, items, w: ranges.append(len(items)) or split(fn, items, w)\n"
+            "from hetquant.cli import main\n"
+            "assert main(sys.argv[1:]) == 0\n"
+            "print(len(ranges) == 1 and ranges[0] > 1)"
+        )
+        with open(target, "rb") as stdin:
+            out = run_fresh(script, "analyze", "--input", "/dev/stdin", *flags, stdin=stdin)
+        assert out == expected + "True\n"
+
+    @pytest.mark.parametrize("change", ["replaced", "removed"])
+    def test_input_changed_while_split_exits_two(self, tmp_path, capsys, monkeypatch, change):
+        """A worker that cannot open the file the reader has open fails the
+        read as an I/O error rather than parse another file."""
+        target = tmp_path / "series.csv"
+        main(["generate", "--samples", "4096", "--out", str(target)])
+        other = tmp_path / "other.csv"
+        other.write_bytes(target.read_bytes())
+        monkeypatch.setattr(series_module, "_RANGE_BYTES", 1024)
+        monkeypatch.setattr(series_module, "usable_cpus", lambda: 2)
+        ranges = series_module._ranges
+
+        def then_change(handle, start):
+            spans = ranges(handle, start)
+            if change == "replaced":
+                os.replace(other, target)
+            else:
+                target.unlink()
+            return spans
+
+        monkeypatch.setattr(series_module, "_ranges", then_change)
+        code, out, err = run_cli(capsys, "analyze", "--input", str(target), "--window", "32")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: io: ")
+        if change == "replaced":
+            assert err.endswith("was replaced while it was read\n")
+
     def test_missing_input_exits_two(self, tmp_path, capsys):
         code, _, err = run_cli(
             capsys, "analyze", "--input", str(tmp_path / "absent.csv")
@@ -569,16 +619,18 @@ class TestFlagsMatchConfigs:
         assert "--samples SAMPLES" in capsys.readouterr().out
 
 
-def run_fresh(script: str, *argv: str, stdin: str | None = None) -> str:
+def run_fresh(script: str, *argv: str, stdin=None) -> str:
     """Run ``script`` with ``argv`` in a new interpreter that imports this
-    package, piping ``stdin`` to it; this process has already imported
-    scipy for the test oracles."""
+    package, piping ``stdin`` to it, or giving it ``stdin`` when that is an
+    open file; this process has already imported scipy for the test
+    oracles."""
     src = str(Path(hetquant.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    feed = {"stdin": stdin} if hasattr(stdin, "fileno") else {"input": stdin}
     result = subprocess.run(
         [sys.executable, "-c", script, *argv],
-        input=stdin, env=env, capture_output=True, text=True, check=True, timeout=120,
+        **feed, env=env, capture_output=True, text=True, check=True, timeout=120,
     )
     return result.stdout
 
@@ -600,6 +652,17 @@ class TestStartup:
             "generate", "--samples", "4096", "--out", str(tmp_path / "s.csv"),
         )
         assert loaded.strip() == "[]"
+
+    def test_one_range_analyze_loads_no_process_pool(self, tmp_path):
+        target = tmp_path / "s.csv"
+        assert main(["generate", "--samples", "4096", "--out", str(target)]) == 0
+        loaded = run_fresh(
+            "import sys\nfrom hetquant.cli import main\n"
+            "assert main(sys.argv[1:]) == 0\n"
+            "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])",
+            "analyze", "--input", str(target), "--window", "32", "--bins", "16",
+        )
+        assert loaded.strip().splitlines()[-1] == "[]"
 
     def test_two_workers_match_one_after_lean_import(self, tmp_path):
         """The process pool's deferred import works in a fresh CLI process."""

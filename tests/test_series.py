@@ -1,9 +1,11 @@
 """Generator and CSV contracts: partitioning, determinism, round trips."""
 
+import contextlib
 import io
 import os
 import re
 import stat
+import threading
 import time
 import tracemalloc
 from types import SimpleNamespace
@@ -190,6 +192,56 @@ class TestTimeSeries:
         series = TimeSeries(np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             series.samples[0] = 5.0
+
+    def test_a_writeable_source_is_copied(self):
+        """Writing to the array a container was built from, or to the array
+        under a read-only view it was built from, changes neither the series
+        nor the variances."""
+        source = np.array([1.0, 2.0, 4.0])
+        view = source[:]
+        view.flags.writeable = False
+        built = [
+            TimeSeries(source).samples,
+            TimeSeries(view).samples,
+            TimeSeries(source, times=source).times,
+            LocalVarianceSeries(source, window=2).variances,
+            LocalVarianceSeries(view, window=2).variances,
+        ]
+        source[:] = [8.0, 16.0, 32.0]
+        for array in built:
+            assert array.tolist() == [1.0, 2.0, 4.0]
+            assert not array.flags.writeable
+
+    def test_a_read_only_array_that_owns_its_data_is_taken_as_is(self):
+        owned = np.array([1.0, 2.0, 4.0])
+        owned.flags.writeable = False
+        series = TimeSeries(owned)
+        variances = LocalVarianceSeries(owned, window=2)
+        assert series.samples is owned
+        assert variances.variances is owned
+        # Not copied means shared: an owner that makes the array writeable
+        # again writes into both containers.
+        owned.flags.writeable = True
+        owned[0] = 8.0
+        assert series.samples[0] == variances.variances[0] == 8.0
+        owned.flags.writeable = False
+        # The checks still run on it.
+        owned_nan = np.array([1.0, np.nan])
+        owned_nan.flags.writeable = False
+        with pytest.raises(ParameterError, match="samples must be finite"):
+            TimeSeries(owned_nan)
+        negative = np.array([1.0, -1.0])
+        negative.flags.writeable = False
+        with pytest.raises(ParameterError, match="variances must be nonnegative"):
+            LocalVarianceSeries(negative, window=2)
+        # Other dtypes, subclasses and matrices are copied or rejected as before.
+        single = np.array([1.0, 2.0], dtype=np.float32)
+        single.flags.writeable = False
+        assert TimeSeries(single).samples.dtype == np.float64
+        table = np.zeros((2, 2))
+        table.flags.writeable = False
+        with pytest.raises(ParameterError, match="one-dimensional"):
+            TimeSeries(table)
 
     def test_times_must_match_length(self):
         with pytest.raises(ParameterError):
@@ -517,26 +569,38 @@ class TestInvalidUtf8:
 
     LATE_ROWS = 300_000  # 1.2 MB of rows: the bad byte lies past the first block
 
+    SERIES_CASES = [
+        (
+            b"value\n1\n\xff\n",
+            "'utf-8' codec can't decode byte 0xff in position 8: invalid start byte",
+        ),
+        (
+            b"value\n" + b"1.5\n" * LATE_ROWS + b"\xff\n",
+            "'utf-8' codec can't decode byte 0xff in position 1200006: invalid start byte",
+        ),
+        (
+            b"value\n" + b"1.5\n" * LATE_ROWS + b"\xe2\x82",
+            "'utf-8' codec can't decode bytes in position 1200006-1200007: unexpected end of data",
+        ),
+        (
+            b"value\nabc\n" + b"1.5\n" * LATE_ROWS + b"\xc3(\n",
+            "'utf-8' codec can't decode byte 0xc3 in position 1200010: invalid continuation byte",
+        ),
+    ]
+    DISTRIBUTION_CASES = [
+        (
+            b"bin_midpoint,mass\n0,1\n\xff\n",
+            "'utf-8' codec can't decode byte 0xff in position 22: invalid start byte",
+        ),
+        (
+            b"bin_midpoint,mass\n" + b"0,0\n" * LATE_ROWS + b"\xe2\x82",
+            "'utf-8' codec can't decode bytes in position 1200018-1200019: unexpected end of data",
+        ),
+    ]
+
     @pytest.mark.parametrize(
         "raw, message",
-        [
-            (
-                b"value\n1\n\xff\n",
-                "'utf-8' codec can't decode byte 0xff in position 8: invalid start byte",
-            ),
-            (
-                b"value\n" + b"1.5\n" * LATE_ROWS + b"\xff\n",
-                "'utf-8' codec can't decode byte 0xff in position 1200006: invalid start byte",
-            ),
-            (
-                b"value\n" + b"1.5\n" * LATE_ROWS + b"\xe2\x82",
-                "'utf-8' codec can't decode bytes in position 1200006-1200007: unexpected end of data",
-            ),
-            (
-                b"value\nabc\n" + b"1.5\n" * LATE_ROWS + b"\xc3(\n",
-                "'utf-8' codec can't decode byte 0xc3 in position 1200010: invalid continuation byte",
-            ),
-        ],
+        SERIES_CASES,
         ids=["early-start-byte", "late-start-byte", "late-end-of-data", "late-continuation-byte"],
     )
     def test_read_csv_message(self, raw, message):
@@ -545,18 +609,7 @@ class TestInvalidUtf8:
         assert str(excinfo.value) == f"input is not valid UTF-8: {message}"
 
     @pytest.mark.parametrize(
-        "raw, message",
-        [
-            (
-                b"bin_midpoint,mass\n0,1\n\xff\n",
-                "'utf-8' codec can't decode byte 0xff in position 22: invalid start byte",
-            ),
-            (
-                b"bin_midpoint,mass\n" + b"0,0\n" * LATE_ROWS + b"\xe2\x82",
-                "'utf-8' codec can't decode bytes in position 1200018-1200019: unexpected end of data",
-            ),
-        ],
-        ids=["early-start-byte", "late-end-of-data"],
+        "raw, message", DISTRIBUTION_CASES, ids=["early-start-byte", "late-end-of-data"]
     )
     def test_read_distribution_csv_message(self, raw, message):
         with pytest.raises(IngestionError) as excinfo:
@@ -573,6 +626,174 @@ class TestInvalidUtf8:
         with pytest.raises(IngestionError) as excinfo:
             read_csv(io.BytesIO(raw))
         assert str(excinfo.value) == f"input is not valid UTF-8: {decoded.value}"
+
+
+@contextlib.contextmanager
+def in_ranges(range_bytes: int, block_bytes: int | None = None):
+    """Split a file's data rows into ranges of ``range_bytes``, parsed in
+    this process, and read blocks of ``block_bytes`` (None: as usual);
+    gives the list of the range counts of the reads that split."""
+    splits: list[int] = []
+
+    def in_process(fn, items, workers):
+        splits.append(len(items))
+        return map(fn, items)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(series_module, "_RANGE_BYTES", range_bytes)
+        patch.setattr(series_module, "usable_cpus", lambda: 2)
+        patch.setattr(series_module, "ordered_map", in_process)
+        if block_bytes is not None:
+            patch.setattr(series_module, "_BLOCK_BYTES", block_bytes)
+        yield splits
+
+
+def range_bytes(raw: bytes, count: int) -> int:
+    """A range size that splits the rows after the first line of ``raw``
+    into about ``count`` ranges."""
+    header = raw.splitlines(keepends=True)[0] if raw else b""
+    return max(1, (len(raw) - len(header)) // count)
+
+
+def read_path(read, raw: bytes, path):
+    """``read`` of ``raw`` written to ``path``: ``read_csv``'s or
+    ``read_distribution_csv``'s arrays as bits, or the message it raises."""
+    path.write_bytes(raw)
+    try:
+        result = read(path)
+    except IngestionError as exc:
+        return "error", str(exc)
+    if isinstance(result, TimeSeries):
+        return "ok", result.samples.tobytes(), None if result.times is None else result.times.tobytes()
+    return "ok", result.edges.tobytes(), result.masses.tobytes()
+
+
+def range_sizes(raw: bytes) -> tuple[int, ...]:
+    """Range sizes that read ``raw`` as one range, two, three, one per few
+    rows and one per row."""
+    return (len(raw) + 1, range_bytes(raw, 2), range_bytes(raw, 3), 12, 1)
+
+
+def nominal_cut(raw: bytes, header: bytes = b"value\n") -> int:
+    """The offset at which a split into two ranges looks for a line end."""
+    return len(header) + (len(raw) - len(header)) // 2
+
+
+# Inputs whose line ends fall at the nominal cuts, or whose errors fall in
+# different ranges: (raw, how many ranges it is split into).
+CUT_CASES = [
+    # A lone \r, then a \r\n pair, at the cut of a split in two.
+    (b"value\n" + b"1\n" * 10 + b"7\r" + b"8\n" * 10, 2),
+    (b"value\n" + b"1\n" * 10 + b"7\r\n" + b"8\n" * 10, 2),
+    # A \r\n pair that straddles the cut.
+    (b"value\n" + b"1\n" * 10 + b"7\r\n" + b"8\n" * 11, 2),
+    # A blank line just after the cut: its row number counts the first range.
+    (b"value\n" + b"1\n" * 10 + b"\n" + b"2\n" * 9, 2),
+    (b"t,value\n" + b"0,1\n" * 10 + b"\r\n" + b"1,2\n" * 10, 2),
+    # A row error in the first of three ranges and invalid UTF-8 in the third.
+    (b"value\nx\n" + b"1\n" * 40 + b"\xff\n" + b"1\n" * 3, 3),
+    (b"value\n" + b"1\n" * 3 + b"\xff\n" + b"1\n" * 40 + b"x\n", 3),
+    # A row error in the last range only; a header error and invalid UTF-8 late.
+    (b"value\n" + b"1\n" * 40 + b"1e400\n", 3),
+    (b"wrong\n" + b"1\n" * 40 + b"\xc3\n", 3),
+    (b"wrong\n" + b"1\n" * 40, 3),
+]
+
+
+class TestByteRanges:
+    """A file split into byte ranges gives the bits or the message of the
+    row parser, or of a stream read, however many ranges it is split into."""
+
+    def test_cut_cases_put_their_line_ends_at_the_cut(self):
+        lone, pair, straddle, blank = (raw for raw, _ in CUT_CASES[:4])
+        assert lone[nominal_cut(lone) : nominal_cut(lone) + 2] == b"\r8"
+        assert pair[nominal_cut(pair) : nominal_cut(pair) + 2] == b"\r\n"
+        assert straddle[nominal_cut(straddle) - 1 : nominal_cut(straddle) + 1] == b"\r\n"
+        assert blank[nominal_cut(blank) : nominal_cut(blank) + 2] == b"\n\n"
+
+    @pytest.mark.parametrize("raw, count", CUT_CASES)
+    def test_cut_cases_split_as_intended(self, raw, count, tmp_path):
+        with in_ranges(range_bytes(raw, count), block_bytes=5) as splits:
+            read_path(read_csv, raw, tmp_path / "in.csv")
+        assert splits == [count]
+
+    @pytest.mark.parametrize("raw", EQUIVALENCE_CASES + [raw for raw, _ in CUT_CASES])
+    def test_series_cases(self, raw, tmp_path):
+        expected = outcome(reference_read_csv, raw)
+        for size in range_sizes(raw):
+            for block_bytes in (5, None):
+                with in_ranges(size, block_bytes):
+                    assert read_path(read_csv, raw, tmp_path / "in.csv") == expected, size
+
+    @pytest.mark.parametrize("raw", DISTRIBUTION_CASES)
+    def test_distribution_cases(self, raw, tmp_path):
+        whole = distribution_outcome(raw, len(raw) + 1)
+        for size in range_sizes(raw):
+            for block_bytes in (5, None):
+                with in_ranges(size, block_bytes):
+                    got = read_path(read_distribution_csv, raw, tmp_path / "in.csv")
+                assert got == whole, size
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        TestInvalidUtf8.SERIES_CASES + TestInvalidUtf8.DISTRIBUTION_CASES,
+        ids=[
+            "series-early-start-byte",
+            "series-late-start-byte",
+            "series-late-end-of-data",
+            "series-late-continuation-byte",
+            "distribution-early-start-byte",
+            "distribution-late-end-of-data",
+        ],
+    )
+    def test_invalid_utf8_cases(self, raw, message, tmp_path):
+        read = read_csv if raw.startswith(b"value") else read_distribution_csv
+        late = len(raw) > series_module._BLOCK_BYTES
+        for count in (1, 2, 3, 64):
+            with in_ranges(range_bytes(raw, count)) as splits:
+                assert read_path(read, raw, tmp_path / "in.csv") == (
+                    "error", f"input is not valid UTF-8: {message}"
+                ), count
+            assert splits == ([count] if late and count > 1 else [])
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            # The tail, then a middle stretch, has no \n or \r: its lines end
+            # with U+2028, which str.splitlines knows and a cut does not.
+            b"value\n" + b"1\n" * 200 + "2\u2028".encode() * 100,
+            b"value\n" + b"1\n" * 100 + "2\u2028".encode() * 100 + b"3\n" * 100,
+        ],
+        ids=["tail", "middle"],
+    )
+    def test_each_byte_is_scanned_for_a_cut_at_most_once(self, raw, tmp_path, monkeypatch):
+        scanned: list[tuple[int, int]] = []
+        next_cut = series_module._next_cut
+
+        def spy(handle, position):
+            cut = next_cut(handle, position)
+            scanned.append((position, cut))
+            return cut
+
+        monkeypatch.setattr(series_module, "_next_cut", spy)
+        expected = outcome(reference_read_csv, raw)
+        assert expected[0] == "ok"
+        with in_ranges(range_bytes(raw, 64)) as splits:
+            assert read_path(read_csv, raw, tmp_path / "in.csv") == expected
+        assert 2 <= splits[0] < 64
+        assert sum(cut - position for position, cut in scanned) <= len(raw)
+
+    def test_generated_file_with_mixed_line_endings(self, tmp_path):
+        rng = np.random.default_rng(5)
+        values = np.concatenate([rng.normal(0, 1e3, 3000), [0.0, -0.0, 1e16, 5e-324]])
+        endings = rng.choice(["\n", "\r\n", "\r"], size=values.size)
+        raw = ("value\n" + "".join(repr(x) + e for x, e in zip(values.tolist(), endings))).encode()
+        expected = outcome(reference_read_csv, raw)
+        assert expected[0] == "ok"
+        for count in (2, 3, 7, 1000):
+            with in_ranges(range_bytes(raw, count)) as splits:
+                assert read_path(read_csv, raw, tmp_path / "in.csv") == expected
+            assert count <= splits[0] <= 1.01 * count
 
 
 FINITE = st.one_of(
@@ -770,6 +991,103 @@ class TestOrderedMap:
         assert pools == [2]
 
 
+def write_file(tmp_path, raw: bytes):
+    target = tmp_path / "in.csv"
+    target.write_bytes(raw)
+    return target
+
+
+class TestPooledParsing:
+    """Byte ranges parsed in a process pool give the bits and the messages
+    of a read in this process; only a regular file large enough to split,
+    read where more than one CPU is usable, starts a pool."""
+
+    @staticmethod
+    def split(monkeypatch, cpus: int, range_bytes: int = 1) -> None:
+        monkeypatch.setattr(series_module, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(series_module, "_RANGE_BYTES", range_bytes)
+
+    @pytest.mark.parametrize("timed", [False, True])
+    def test_values_match_a_stream_read(self, monkeypatch, pools, tmp_path, timed):
+        series = spanning_series(timed, rows=500)
+        target = write_file(tmp_path, series_csv_bytes(series))
+        pools.clear()  # those of the formatter
+        self.split(monkeypatch, 3, range_bytes=64)
+        assert read_csv(target) == read_csv(io.BytesIO(target.read_bytes())) == series
+        assert pools == [3]
+
+    def test_distribution_matches_a_stream_read(self, monkeypatch, pools, tmp_path):
+        dist = ProbabilityDistribution(np.arange(201.0) - 7, np.full(200, 1 / 200))
+        target = write_file(tmp_path, distribution_csv_bytes(dist))
+        pools.clear()  # those of the formatter
+        self.split(monkeypatch, 2, range_bytes=64)
+        back = read_distribution_csv(target)
+        assert back.masses.tobytes() == read_distribution_csv(io.BytesIO(target.read_bytes())).masses.tobytes()
+        assert back.edges.tobytes() == dist.edges.tobytes()
+        assert pools == [2]
+
+    @pytest.mark.parametrize("raw, count", CUT_CASES)
+    def test_errors_match_the_row_parser(self, monkeypatch, pools, tmp_path, raw, count):
+        """Row errors come back from the workers, invalid UTF-8 is raised in
+        them, and both keep their precedence and row numbers."""
+        self.split(monkeypatch, count, range_bytes(raw, count))
+        monkeypatch.setattr(series_module, "_BLOCK_BYTES", 5)
+        assert read_path(read_csv, raw, tmp_path / "in.csv") == outcome(reference_read_csv, raw)
+        assert pools == [count]
+
+    def test_workers_are_capped_at_the_range_count(self, monkeypatch, pools, tmp_path):
+        self.split(monkeypatch, 64)
+        assert read_csv(write_file(tmp_path, b"value\n1\n2\n3\n")) == TimeSeries(np.arange(1.0, 4.0))
+        assert pools == [3]
+
+    def test_two_ranges_worth_of_rows_is_split(self, monkeypatch, pools, tmp_path):
+        monkeypatch.setattr(series_module, "usable_cpus", lambda: 64)
+        rows = 2 * series_module._RANGE_BYTES // 4
+        below = write_file(tmp_path, b"value\n" + b"1.5\n" * (rows - 1))
+        assert len(read_csv(below)) == rows - 1
+        assert pools == []
+        at = write_file(tmp_path, b"value\n" + b"1.5\n" * rows)
+        assert len(read_csv(at)) == rows
+        assert pools == [2]
+
+    def test_a_stream_starts_no_pool(self, monkeypatch):
+        self.split(monkeypatch, 64)
+        monkeypatch.setattr(series_module, "process_pool", refuse_pool)
+        assert read_csv(io.BytesIO(b"value\n1\n2\n3\n")) == TimeSeries(np.arange(1.0, 4.0))
+
+    def test_one_allowed_cpu_starts_no_pool(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(series_module, "_RANGE_BYTES", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(series_module, "process_pool", refuse_pool)
+        assert read_csv(write_file(tmp_path, b"value\n1\n2\n3\n")) == TimeSeries(np.arange(1.0, 4.0))
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd here")
+    def test_workers_get_the_path_of_the_file_not_of_a_descriptor(self, monkeypatch, tmp_path):
+        """``/dev/stdin`` and ``/proc/self/fd/N`` name a descriptor of this
+        process, which a worker started by ``spawn`` does not share."""
+        self.split(monkeypatch, 2)
+        target = write_file(tmp_path, b"value\n1\n")
+        with open(target, "rb") as handle:
+            descriptor = f"/proc/self/fd/{handle.fileno()}"
+            assert series_module._shared_path(descriptor, handle, 6) == os.path.realpath(target)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
+    def test_a_fifo_starts_no_pool(self, monkeypatch, tmp_path):
+        self.split(monkeypatch, 64)
+        monkeypatch.setattr(series_module, "process_pool", refuse_pool)
+        fifo = tmp_path / "in.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(b"value\n1\n2\n3\n",), daemon=True)
+        writer.start()
+        try:
+            series = read_csv(fifo)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert series == TimeSeries(np.arange(1.0, 4.0))
+
+
 class TestIntegerFields:
     """Integer config fields take Python and numpy integers, nothing else."""
 
@@ -912,11 +1230,14 @@ class TestStreamedWrite:
 
 
 class TestParseMemory:
+    @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("ending", [b"\n", b"\r"])
-    def test_peak_is_bounded_by_result_and_one_block(self, tmp_path, ending):
+    def test_peak_is_bounded_by_result_and_one_block(self, monkeypatch, tmp_path, ending, cpus):
         """The whole file, its lines and one float object per row (the row
         parser's working set, ~31 MB here) would break this bound, as would
-        holding a file whose lines end in a lone ``\\r`` as one block."""
+        holding a file whose lines end in a lone ``\\r`` as one block. With
+        two CPUs the file is parsed in two ranges, whose results arrive here."""
+        monkeypatch.setattr(series_module, "usable_cpus", lambda: cpus)
         rows = 1 << 18
         series = generate_segmented(SegmentedGeneratorConfig(total_samples=rows, num_sigmas=4))
         target = tmp_path / "series.csv"
