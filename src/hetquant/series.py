@@ -251,9 +251,10 @@ def write_bytes(data: bytes | Iterable[bytes], sink) -> None:
     at once. A path is written through a temporary file in the same
     directory that is then renamed over it, so the path holds either its
     old contents or all of ``data``, never part of it, even when the
-    chunks fail midway. The file gets the permissions ``open(path, "wb")``
-    would give it: those of the file it replaces, or 0o666 less the umask
-    for a new one.
+    chunks fail midway. An ``OSError`` on the temporary file is raised
+    with its errno and message but with the path given. The file gets the
+    permissions ``open(path, "wb")`` would give it: those of the file it
+    replaces, or 0o666 less the umask for a new one.
     """
     chunks = (data,) if isinstance(data, (bytes, bytearray, memoryview)) else data
     if not isinstance(sink, (str, os.PathLike)):
@@ -261,28 +262,34 @@ def write_bytes(data: bytes | Iterable[bytes], sink) -> None:
             sink.write(chunk)
         return
     directory = os.path.dirname(os.path.abspath(sink))
-    for attempt in itertools.count():
-        tmp = os.path.join(directory, f".hetquant-{os.getpid()}-{attempt}")
-        try:
-            handle = open(tmp, "xb")
-        except FileExistsError:
-            continue
-        break
     try:
-        with handle:
-            for chunk in chunks:
-                handle.write(chunk)
+        for attempt in itertools.count():
+            tmp = os.path.join(directory, f".hetquant-{os.getpid()}-{attempt}")
+            try:
+                handle = open(tmp, "xb")
+            except FileExistsError:
+                continue
+            break
         try:
-            os.chmod(tmp, stat.S_IMODE(os.stat(sink).st_mode))
-        except FileNotFoundError:
-            pass
-        os.replace(tmp, sink)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with handle:
+                for chunk in chunks:
+                    handle.write(chunk)
+            try:
+                os.chmod(tmp, stat.S_IMODE(os.stat(sink).st_mode))
+            except FileNotFoundError:
+                pass
+            os.replace(tmp, sink)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+    except OSError as exc:
+        # The temporary name is this function's own: report the path asked for.
+        if exc.filename != tmp:
+            raise
+        raise OSError(exc.errno, exc.strerror, os.fspath(sink)) from None
 
 
 def usable_cpus() -> int:
@@ -331,8 +338,6 @@ _FORMAT_ROWS = 1 << 16
 # a 20 MB file faster than one range per CPU: a worker that finishes early
 # takes the next range.
 _RANGE_BYTES = 1 << 20
-# Bytes read at a time past a nominal cut, looking for the end of its line.
-_PROBE = 256
 
 
 def _blocks(handle, offset: int = 0, end: int | None = None):
@@ -372,7 +377,7 @@ def _next_cut(handle, position: int) -> int:
     file: just after a ``b"\\n"``, or after a ``b"\\r"`` that no ``b"\\n"``
     follows. The end of the file if there is none."""
     handle.seek(position)
-    while data := handle.read(_PROBE):
+    while data := handle.read(_BLOCK_BYTES):
         ends = [at for at in (data.find(b"\n"), data.find(b"\r")) if at >= 0]
         if ends:
             at = min(ends)
@@ -384,44 +389,34 @@ def _next_cut(handle, position: int) -> int:
     return position
 
 
-def _shared_path(source, handle, start: int) -> str | None:
-    """A path that opens the regular file ``handle`` reads, for worker
-    processes to open, if the file holds at least two ``_RANGE_BYTES`` past
-    ``start`` and more than one CPU is usable; None for a stream, any other
-    kind of file, a smaller file or one CPU.
+def _ranges(source, handle, start: int) -> list[tuple]:
+    """The byte ranges ``(path, opened, start, end)`` of the rows that the
+    file ``handle`` holds from ``start`` on, each to be parsed from the file
+    opened again by ``path``; ``opened`` is the file's ``os.stat``. ``[]``
+    when this process must read the input through ``handle``: a stream or
+    a file that is not regular, a path that no longer names the open file,
+    or less than two ``_RANGE_BYTES`` of rows.
 
     The path is resolved, so that ``/dev/stdin`` redirected from a file
-    names that file rather than the worker's own standard input. The size
-    is checked first, so that reading a small file resolves no path.
+    names that file rather than a worker's own standard input. The ranges
+    hold about ``_RANGE_BYTES`` each, cut where ``_next_cut`` finds the end
+    of a line. A nominal cut that the line before it has already passed
+    is skipped, and cutting stops at the end of the file, so a long line is
+    scanned once however many nominal cuts it spans.
     """
     if not isinstance(source, (str, os.PathLike)):
-        return None
+        return []
     opened = os.fstat(handle.fileno())
-    if (
-        not stat.S_ISREG(opened.st_mode)
-        or opened.st_size - start < 2 * _RANGE_BYTES
-        or usable_cpus() < 2
-    ):
-        return None
+    size = opened.st_size
+    parts = (size - start) // _RANGE_BYTES
+    if not stat.S_ISREG(opened.st_mode) or parts < 2:
+        return []
     path = os.path.realpath(source)
     try:
-        same = os.path.samestat(os.stat(path), opened)
+        if not os.path.samestat(os.stat(path), opened):
+            return []
     except OSError:
-        return None
-    return path if same else None
-
-
-def _ranges(handle, start: int) -> list[tuple[int, int]]:
-    """Split the bytes of a file from ``start`` to its end into ranges
-    ``(start, end)`` of at least ``_RANGE_BYTES``, each cut where
-    ``_next_cut`` finds the end of a line. The handle is left where it was.
-
-    A nominal cut that the line before it has already passed is skipped,
-    and cutting stops at the end of the file, so a long line is scanned
-    once however many nominal cuts it spans."""
-    size = os.fstat(handle.fileno()).st_size
-    parts = (size - start) // _RANGE_BYTES
-    position = handle.tell()
+        return []
     cuts = [start]
     for part in range(1, parts):
         nominal = start + (size - start) * part // parts
@@ -431,8 +426,7 @@ def _ranges(handle, start: int) -> list[tuple[int, int]]:
         if cut >= size:
             break
         cuts.append(cut)
-    handle.seek(position)
-    return list(zip(cuts, cuts[1:] + [size]))
+    return [(path, opened, a, b) for a, b in zip(cuts, cuts[1:] + [size])]
 
 
 def _columns(line: str, headers: dict[str, tuple[str, ...]]) -> tuple[str, ...]:
@@ -528,14 +522,16 @@ def read_table(source, headers: dict[str, tuple[str, ...]]) -> list[np.ndarray]:
     array that owns its data, so a container can take it without a copy.
 
     A regular file with at least two ``_RANGE_BYTES`` (1 MiB) of data
-    rows, read where more than one CPU is usable, is split at line ends
-    into ranges of about that size, which a pool of one process per usable
-    CPU parses, each worker opening the file and reading its own ranges.
-    Anything else, a stream or a pipe included, is parsed in this process.
-    Either way the input is read in blocks of about 64 KiB, and the values,
-    errors and precedence are the same: invalid UTF-8 anywhere, reported at
-    its first position, then a bad header, then the first bad row. Parsing
-    holds the parsed values twice, 16 bytes per value, while it joins them.
+    rows is always split at line ends into ranges of about that size (see
+    ``_ranges``), whatever the CPU count. Each range is parsed from the
+    file opened again by path, which must still be the file read here,
+    else ``OSError``: in a pool of one process per usable CPU, or in this
+    process where only one CPU is usable. Anything else, a stream or a
+    pipe included, is parsed in one pass in this process. Either way the
+    input is read in blocks of about 64 KiB, and the values, errors and
+    precedence are the same: invalid UTF-8 anywhere, reported at its first
+    position, then a bad header, then the first bad row. Parsing holds the
+    parsed values twice, 16 bytes per value, while it joins them.
     """
     with _open_binary(source) as handle:
         blocks = _blocks(handle)
@@ -549,11 +545,8 @@ def read_table(source, headers: dict[str, tuple[str, ...]]) -> list[np.ndarray]:
             names, header_error = _columns(header, headers), None
         except IngestionError as exc:
             names, header_error = None, exc
-        path = _shared_path(source, handle, start)
-        spans = _ranges(handle, start) if path else []
-        if len(spans) > 1:
-            opened = os.fstat(handle.fileno())
-            items = [(path, opened, a, b, names) for a, b in spans]
+        items = [span + (names,) for span in _ranges(source, handle, start)]
+        if items:
             # Consumed here, so the pool is shut down before this returns.
             results = list(ordered_map(_read_range, items, usable_cpus()))
         else:
@@ -582,12 +575,13 @@ def read_csv(source) -> TimeSeries:
 
     The first line must be the header ``value`` or ``t,value``. Every data
     row must hold finite numbers; errors name the offending data row
-    (1-based, header excluded). A large regular file is parsed on every
-    usable CPU, each worker process reading its own byte ranges; a stream
-    or a small file is parsed in this process. Both read blocks of about
-    64 KiB and give the same bits and the same messages. The series holds
-    8 bytes per row (16 with ``t``) and takes the parsed columns without a
-    copy; parsing holds twice that while it joins them.
+    (1-based, header excluded). A regular file with 2 MiB or more of rows
+    is always split into byte ranges, parsed on every usable CPU (in this
+    process on one); a stream or a smaller file is parsed in one pass in
+    this process. Both read blocks of about 64 KiB and give the same bits
+    and the same messages. The series holds 8 bytes per row (16 with
+    ``t``) and takes the parsed columns without a copy; parsing holds
+    twice that while it joins them.
     """
     columns = read_table(source, {"value": ("value",), "t,value": ("t", "value")})
     if len(columns) == 2:

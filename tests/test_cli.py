@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, output formats, and atomicity."""
 
 import dataclasses
+import errno
 import math
 import os
 import re
@@ -325,20 +326,22 @@ class TestAnalyze:
             out = run_fresh(script, "analyze", "--input", "/dev/stdin", *flags, stdin=stdin)
         assert out == expected + "True\n"
 
+    @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("change", ["replaced", "removed"])
-    def test_input_changed_while_split_exits_two(self, tmp_path, capsys, monkeypatch, change):
-        """A worker that cannot open the file the reader has open fails the
-        read as an I/O error rather than parse another file."""
+    def test_input_changed_while_split_exits_two(self, tmp_path, capsys, monkeypatch, change, cpus):
+        """A range, in a worker or in this process, that cannot open the file
+        the reader has open fails the read as an I/O error rather than parse
+        another file."""
         target = tmp_path / "series.csv"
         main(["generate", "--samples", "4096", "--out", str(target)])
         other = tmp_path / "other.csv"
         other.write_bytes(target.read_bytes())
         monkeypatch.setattr(series_module, "_RANGE_BYTES", 1024)
-        monkeypatch.setattr(series_module, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(series_module, "usable_cpus", lambda: cpus)
         ranges = series_module._ranges
 
-        def then_change(handle, start):
-            spans = ranges(handle, start)
+        def then_change(source, handle, start):
+            spans = ranges(source, handle, start)
             if change == "replaced":
                 os.replace(other, target)
             else:
@@ -563,6 +566,36 @@ class TestSweepCli:
         )
         assert code == 1
         assert "error: configuration:" in err
+
+
+class TestWriteErrors:
+    """An output path that cannot be written exits 2 with an error that
+    names that path, not the temporary file it would have been renamed from,
+    and leaves no temporary file behind."""
+
+    @staticmethod
+    def argv(command: str, tmp_path, target) -> tuple[str, ...]:
+        if command == "generate":
+            return ("generate", "--samples", "16", "--out", str(target))
+        if command == "analyze":
+            series = tmp_path / "series.csv"
+            write_csv(generate_segmented(SegmentedGeneratorConfig(total_samples=256)), series)
+            return ("analyze", "--input", str(series), "--emit-distribution", str(target))
+        report = tmp_path / "report.csv"
+        return (*TestSweepCli.ARGS, "--out", str(report), "--summary", str(target))
+
+    @pytest.mark.parametrize("command", ["generate", "analyze", "sweep"])
+    @pytest.mark.parametrize(
+        "name, code", [("missing/out.csv", errno.ENOENT), ("taken", errno.EISDIR)]
+    )
+    def test_error_names_the_given_path(self, tmp_path, capsys, command, name, code):
+        (tmp_path / "taken").mkdir()
+        target = str(tmp_path / name)
+        exit_code, out, err = run_cli(capsys, *self.argv(command, tmp_path, target))
+        assert (exit_code, out) == (2, "")
+        assert err == f"error: io: [Errno {code}] {os.strerror(code)}: {target!r}\n"
+        assert ".hetquant-" not in err
+        assert list(tmp_path.rglob(".hetquant-*")) == []
 
 
 class TestTopLevel:

@@ -641,7 +641,6 @@ def in_ranges(range_bytes: int, block_bytes: int | None = None):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(series_module, "_RANGE_BYTES", range_bytes)
-        patch.setattr(series_module, "usable_cpus", lambda: 2)
         patch.setattr(series_module, "ordered_map", in_process)
         if block_bytes is not None:
             patch.setattr(series_module, "_BLOCK_BYTES", block_bytes)
@@ -999,22 +998,24 @@ def write_file(tmp_path, raw: bytes):
 
 class TestPooledParsing:
     """Byte ranges parsed in a process pool give the bits and the messages
-    of a read in this process; only a regular file large enough to split,
-    read where more than one CPU is usable, starts a pool."""
+    of a read in this process. A regular file large enough to split is
+    split whatever the CPU count; its ranges start a pool only where more
+    than one CPU is usable."""
 
     @staticmethod
     def split(monkeypatch, cpus: int, range_bytes: int = 1) -> None:
         monkeypatch.setattr(series_module, "usable_cpus", lambda: cpus)
         monkeypatch.setattr(series_module, "_RANGE_BYTES", range_bytes)
 
+    @pytest.mark.parametrize("cpus", [1, 3])
     @pytest.mark.parametrize("timed", [False, True])
-    def test_values_match_a_stream_read(self, monkeypatch, pools, tmp_path, timed):
+    def test_values_match_a_stream_read(self, monkeypatch, pools, tmp_path, timed, cpus):
         series = spanning_series(timed, rows=500)
         target = write_file(tmp_path, series_csv_bytes(series))
         pools.clear()  # those of the formatter
-        self.split(monkeypatch, 3, range_bytes=64)
+        self.split(monkeypatch, cpus, range_bytes=64)
         assert read_csv(target) == read_csv(io.BytesIO(target.read_bytes())) == series
-        assert pools == [3]
+        assert pools == ([cpus] if cpus > 1 else [])
 
     def test_distribution_matches_a_stream_read(self, monkeypatch, pools, tmp_path):
         dist = ProbabilityDistribution(np.arange(201.0) - 7, np.full(200, 1 / 200))
@@ -1056,21 +1057,44 @@ class TestPooledParsing:
         assert read_csv(io.BytesIO(b"value\n1\n2\n3\n")) == TimeSeries(np.arange(1.0, 4.0))
 
     def test_one_allowed_cpu_starts_no_pool(self, monkeypatch, tmp_path):
+        """The file is still split; its ranges are parsed in this process."""
         monkeypatch.setattr(series_module, "_RANGE_BYTES", 1)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         monkeypatch.setattr(series_module, "process_pool", refuse_pool)
+        ordered_map, splits = series_module.ordered_map, []
+
+        def spy(fn, items, workers):
+            splits.append((len(items), workers))
+            return ordered_map(fn, items, workers)
+
+        monkeypatch.setattr(series_module, "ordered_map", spy)
         assert read_csv(write_file(tmp_path, b"value\n1\n2\n3\n")) == TimeSeries(np.arange(1.0, 4.0))
+        assert splits == [(3, 1)]
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd here")
     def test_workers_get_the_path_of_the_file_not_of_a_descriptor(self, monkeypatch, tmp_path):
         """``/dev/stdin`` and ``/proc/self/fd/N`` name a descriptor of this
         process, which a worker started by ``spawn`` does not share."""
         self.split(monkeypatch, 2)
-        target = write_file(tmp_path, b"value\n1\n")
+        target = write_file(tmp_path, b"value\n1\n2\n3\n")
         with open(target, "rb") as handle:
             descriptor = f"/proc/self/fd/{handle.fileno()}"
-            assert series_module._shared_path(descriptor, handle, 6) == os.path.realpath(target)
+            spans = series_module._ranges(descriptor, handle, 6)
+        assert [span[0] for span in spans] == [os.path.realpath(target)] * 3
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd here")
+    def test_a_file_removed_while_open_is_read_here(self, monkeypatch, tmp_path):
+        """``/proc/self/fd/N`` of a removed file opens it in this process
+        only; no path opens it for a worker, so it is not split."""
+        self.split(monkeypatch, 2)
+        monkeypatch.setattr(series_module, "process_pool", refuse_pool)
+        raw = b"value\n" + b"1.5\n-2\n" * 50
+        target = write_file(tmp_path, raw)
+        with open(target, "rb") as handle:
+            target.unlink()
+            series = read_csv(f"/proc/self/fd/{handle.fileno()}")
+        assert series == read_csv(io.BytesIO(raw))
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
     def test_a_fifo_starts_no_pool(self, monkeypatch, tmp_path):
@@ -1235,8 +1259,9 @@ class TestParseMemory:
     def test_peak_is_bounded_by_result_and_one_block(self, monkeypatch, tmp_path, ending, cpus):
         """The whole file, its lines and one float object per row (the row
         parser's working set, ~31 MB here) would break this bound, as would
-        holding a file whose lines end in a lone ``\\r`` as one block. With
-        two CPUs the file is parsed in two ranges, whose results arrive here."""
+        holding a file whose lines end in a lone ``\\r`` as one block. The
+        file is split into byte ranges either way; with two CPUs their
+        results arrive here from a pool."""
         monkeypatch.setattr(series_module, "usable_cpus", lambda: cpus)
         rows = 1 << 18
         series = generate_segmented(SegmentedGeneratorConfig(total_samples=rows, num_sigmas=4))
