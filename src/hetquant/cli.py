@@ -4,12 +4,15 @@ Exit codes: 0 on success, 1 on any validation failure (bad flags, bad
 configs, malformed CSV), 2 on I/O failure. Errors print to standard error
 as ``error: <category>: <detail>``. Output files are written to a
 temporary sibling and renamed into place, so a failing run never leaves a
-partial file behind.
+partial file behind. ``sweep`` makes both of its temporary files before it
+runs the grid and renames them only after both are written, so it writes
+both of its files or neither.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from .distribution import BINNINGS, distribution_csv_bytes, read_distribution_csv
@@ -23,6 +26,7 @@ from .series import (
     format_float,
     generate_segmented,
     read_csv,
+    replacing,
     series_csv_bytes,  # not called here; kept for perfbench/spans.py, which hooks this name
     write_bytes,
     write_csv,
@@ -172,10 +176,16 @@ def _cmd_divergence(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    report = run_sweep(config_from(SweepConfig, args), workers=args.workers)
-    write_bytes(report.report_csv_bytes(), args.out)
-    if args.summary:
-        write_bytes(report.summary_csv_bytes(), args.summary)
+    config = config_from(SweepConfig, args)
+    # Both files are made before the grid runs and renamed only after both
+    # are written. Nothing is written to them before the pool forks.
+    with contextlib.ExitStack() as stack:
+        out = stack.enter_context(replacing(args.out))
+        summary = stack.enter_context(replacing(args.summary)) if args.summary else None
+        report = run_sweep(config, workers=args.workers)
+        write_bytes(report.report_csv_bytes(), out)
+        if summary is not None:
+            write_bytes(report.summary_csv_bytes(), summary)
     return 0
 
 

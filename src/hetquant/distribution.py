@@ -171,7 +171,7 @@ def read_distribution_csv(source) -> ProbabilityDistribution:
     sum past the largest float, their midpoint is taken as the sum of their
     halves; an outer edge that overflows is rejected. Masses must sum to 1.
     """
-    mids, masses = read_table(source, {"bin_midpoint,mass": ("bin_midpoint", "mass")})
+    mids, masses = read_table(source, ("bin_midpoint,mass",))
     # Near the largest floats a difference or edge overflows to inf; the
     # constructor below rejects such edges as not finite.
     with np.errstate(over="ignore"):

@@ -10,6 +10,7 @@ parameter such as the window size.
 from __future__ import annotations
 
 import contextlib
+import errno
 import itertools
 import math
 import operator
@@ -17,7 +18,7 @@ import os
 import stat
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, fields
-from typing import TypeVar
+from typing import BinaryIO, TypeVar
 
 import numpy as np
 
@@ -217,13 +218,6 @@ def _parse_value(token: str, row: int, column: str) -> float:
     return value
 
 
-def _open_binary(source):
-    """Open a path for binary reading, or pass a binary stream through unclosed."""
-    if isinstance(source, (str, os.PathLike)):
-        return open(source, "rb")
-    return contextlib.nullcontext(source)
-
-
 def _decode(raw: bytes, offset: int) -> str:
     """Decode ``raw``, which starts ``offset`` bytes into the input, as UTF-8.
 
@@ -243,25 +237,22 @@ def _decode(raw: bytes, offset: int) -> str:
         ) from None
 
 
-def write_bytes(data: bytes | Iterable[bytes], sink) -> None:
-    """Write ``data``, bytes or an iterable of byte chunks, to a binary
-    stream, or atomically to a path.
+@contextlib.contextmanager
+def replacing(path) -> Iterator[BinaryIO]:
+    """A new temporary file in the directory of ``path``, open for binary
+    writing, that is renamed over ``path`` when the block ends without an
+    error and removed when it raises.
 
-    Chunks are written in order as they arrive, so they are never all held
-    at once. A path is written through a temporary file in the same
-    directory that is then renamed over it, so the path holds either its
-    old contents or all of ``data``, never part of it, even when the
-    chunks fail midway. An ``OSError`` on the temporary file is raised
-    with its errno and message but with the path given. The file gets the
-    permissions ``open(path, "wb")`` would give it: those of the file it
-    replaces, or 0o666 less the umask for a new one.
+    ``path`` thus holds either its old contents or all that the block
+    wrote, never part of it. A directory at ``path`` is refused before
+    the temporary file is made. An ``OSError`` on the temporary file is
+    raised with its errno and message but with ``path`` given. The file
+    gets the permissions ``open(path, "wb")`` would give it: those of the
+    file it replaces, or 0o666 less the umask for a new one.
     """
-    chunks = (data,) if isinstance(data, (bytes, bytearray, memoryview)) else data
-    if not isinstance(sink, (str, os.PathLike)):
-        for chunk in chunks:
-            sink.write(chunk)
-        return
-    directory = os.path.dirname(os.path.abspath(sink))
+    if os.path.isdir(path) and not os.path.islink(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
+    directory = os.path.dirname(os.path.abspath(path))
     try:
         for attempt in itertools.count():
             tmp = os.path.join(directory, f".hetquant-{os.getpid()}-{attempt}")
@@ -272,13 +263,12 @@ def write_bytes(data: bytes | Iterable[bytes], sink) -> None:
             break
         try:
             with handle:
-                for chunk in chunks:
-                    handle.write(chunk)
+                yield handle
             try:
-                os.chmod(tmp, stat.S_IMODE(os.stat(sink).st_mode))
+                os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
             except FileNotFoundError:
                 pass
-            os.replace(tmp, sink)
+            os.replace(tmp, path)
         except BaseException:
             try:
                 os.unlink(tmp)
@@ -289,7 +279,21 @@ def write_bytes(data: bytes | Iterable[bytes], sink) -> None:
         # The temporary name is this function's own: report the path asked for.
         if exc.filename != tmp:
             raise
-        raise OSError(exc.errno, exc.strerror, os.fspath(sink)) from None
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+
+
+def write_bytes(data: bytes | Iterable[bytes], sink) -> None:
+    """Write ``data``, bytes or an iterable of byte chunks, to a binary
+    stream, or to a path through ``replacing``.
+
+    Chunks are written in order as they arrive, so they are never all held
+    at once; a path keeps its old contents when they fail midway.
+    """
+    chunks = (data,) if isinstance(data, (bytes, bytearray, memoryview)) else data
+    is_path = isinstance(sink, (str, os.PathLike))
+    with replacing(sink) if is_path else contextlib.nullcontext(sink) as handle:
+        for chunk in chunks:
+            handle.write(chunk)
 
 
 def usable_cpus() -> int:
@@ -389,13 +393,14 @@ def _next_cut(handle, position: int) -> int:
     return position
 
 
-def _ranges(source, handle, start: int) -> list[tuple]:
+def _ranges(path, handle, start: int) -> list[tuple]:
     """The byte ranges ``(path, opened, start, end)`` of the rows that the
-    file ``handle`` holds from ``start`` on, each to be parsed from the file
-    opened again by ``path``; ``opened`` is the file's ``os.stat``. ``[]``
-    when this process must read the input through ``handle``: a stream or
-    a file that is not regular, a path that no longer names the open file,
-    or less than two ``_RANGE_BYTES`` of rows.
+    file ``handle`` opened from ``path`` holds from ``start`` on, each to be
+    parsed from the file opened again by the resolved path; ``opened`` is
+    the file's ``os.stat``. ``[]`` when this process must read the input
+    through ``handle``: a stream (``path`` None), a file that is not
+    regular, a path that no longer names the open file, or less than two
+    ``_RANGE_BYTES`` of rows.
 
     The path is resolved, so that ``/dev/stdin`` redirected from a file
     names that file rather than a worker's own standard input. The ranges
@@ -404,14 +409,14 @@ def _ranges(source, handle, start: int) -> list[tuple]:
     is skipped, and cutting stops at the end of the file, so a long line is
     scanned once however many nominal cuts it spans.
     """
-    if not isinstance(source, (str, os.PathLike)):
+    if path is None:
         return []
     opened = os.fstat(handle.fileno())
     size = opened.st_size
     parts = (size - start) // _RANGE_BYTES
     if not stat.S_ISREG(opened.st_mode) or parts < 2:
         return []
-    path = os.path.realpath(source)
+    path = os.path.realpath(path)
     try:
         if not os.path.samestat(os.stat(path), opened):
             return []
@@ -427,14 +432,6 @@ def _ranges(source, handle, start: int) -> list[tuple]:
             break
         cuts.append(cut)
     return [(path, opened, a, b) for a, b in zip(cuts, cuts[1:] + [size])]
-
-
-def _columns(line: str, headers: dict[str, tuple[str, ...]]) -> tuple[str, ...]:
-    header = line.strip()
-    if header in headers:
-        return headers[header]
-    accepted = " or ".join(repr(key) for key in headers)
-    raise IngestionError(f"header must be {accepted}, got {header!r}")
 
 
 def _parse_rows(lines: list[str], first_row: int, names: tuple[str, ...]) -> np.ndarray:
@@ -476,13 +473,13 @@ def _parse_block(lines: list[str], first_row: int, names: tuple[str, ...]) -> np
     return _parse_rows(lines, first_row, names)
 
 
-def _parse_blocks(blocks, names: tuple[str, ...] | None, first_row: int) -> tuple:
+def _parse_blocks(blocks, names: tuple[str, ...], first_row: int) -> tuple:
     """Parse the data rows in ``blocks``, ``(offset, bytes)`` pieces that
-    ``_blocks`` cut, numbering them from ``first_row``.
+    ``_blocks`` cut, into the columns ``names``, numbering them from
+    ``first_row``.
 
     Returns the ``(n, columns)`` table of each block, the number of rows,
-    and the first row error or None. With ``names`` None the rows are only
-    decoded and counted. Invalid UTF-8 raises at once.
+    and the first row error or None. Invalid UTF-8 raises at once.
     """
     tables: list[np.ndarray] = []
     rows = 0
@@ -491,7 +488,7 @@ def _parse_blocks(blocks, names: tuple[str, ...] | None, first_row: int) -> tupl
         lines = _decode(block, offset).splitlines()
         # After an error the rest is still decoded: invalid UTF-8 anywhere
         # in the input takes precedence, as when it was decoded whole.
-        if names is not None and error is None and lines:
+        if error is None and lines:
             try:
                 tables.append(_parse_block(lines, first_row + rows, names))
             except IngestionError as exc:
@@ -513,47 +510,51 @@ def _read_range(item: tuple, first_row: int = 1) -> tuple:
         return _parse_blocks(_blocks(handle, start, end), names, first_row)
 
 
-def read_table(source, headers: dict[str, tuple[str, ...]]) -> list[np.ndarray]:
+def read_table(source, headers: tuple[str, ...]) -> list[np.ndarray]:
     """Parse a CSV byte stream or path into one float64 array per column.
 
-    ``headers`` maps each accepted header line to its column names. Every
-    data row must hold finite numbers; errors name the offending data row
-    (1-based, header excluded) and column. Each column is a read-only
-    array that owns its data, so a container can take it without a copy.
+    ``headers`` lists the accepted header lines; a header's comma-separated
+    fields name its columns. Every data row must hold finite numbers;
+    errors name the offending data row (1-based, header excluded) and
+    column. Each column is a read-only array that owns its data, so a
+    container can take it without a copy.
 
-    A regular file with at least two ``_RANGE_BYTES`` (1 MiB) of data
-    rows is always split at line ends into ranges of about that size (see
-    ``_ranges``), whatever the CPU count. Each range is parsed from the
-    file opened again by path, which must still be the file read here,
-    else ``OSError``: in a pool of one process per usable CPU, or in this
-    process where only one CPU is usable. Anything else, a stream or a
-    pipe included, is parsed in one pass in this process. Either way the
-    input is read in blocks of about 64 KiB, and the values, errors and
-    precedence are the same: invalid UTF-8 anywhere, reported at its first
-    position, then a bad header, then the first bad row. Parsing holds the
-    parsed values twice, 16 bytes per value, while it joins them.
+    After a bad header the rest of the input is only decoded, here, to
+    find invalid UTF-8. Otherwise a regular file with at least two
+    ``_RANGE_BYTES`` (1 MiB) of data rows is always split at line ends into
+    ranges of about that size (see ``_ranges``), whatever the CPU count.
+    Each range is parsed from the file opened again by path, which must
+    still be the file read here, else ``OSError``: in a pool of one
+    process per usable CPU, or in this process where only one CPU is
+    usable. Anything else, a stream or a pipe included, is parsed in one
+    pass in this process. Either way the input is read in blocks of about
+    64 KiB, and the values, errors and precedence are the same: invalid
+    UTF-8 anywhere, reported at its first position, then a bad header,
+    then the first bad row. Parsing holds the parsed values twice, 16
+    bytes per value, while it joins them.
     """
-    with _open_binary(source) as handle:
+    path = source if isinstance(source, (str, os.PathLike)) else None
+    with open(path, "rb") if path is not None else contextlib.nullcontext(source) as handle:
         blocks = _blocks(handle)
         first = next(blocks, None)
         if first is None:
             raise IngestionError("empty file")
         _, block = first
-        header = _decode(block, 0).splitlines(keepends=True)[0]
-        start = len(header.encode("utf-8"))
-        try:
-            names, header_error = _columns(header, headers), None
-        except IngestionError as exc:
-            names, header_error = None, exc
-        items = [span + (names,) for span in _ranges(source, handle, start)]
+        line = _decode(block, 0).splitlines(keepends=True)[0]
+        start = len(line.encode("utf-8"))
+        header = line.strip()
+        if header not in headers:
+            for offset, data in blocks:
+                _decode(data, offset)
+            raise IngestionError(f"header must be {' or '.join(map(repr, headers))}, got {header!r}")
+        names = tuple(header.split(","))
+        items = [span + (names,) for span in _ranges(path, handle, start)]
         if items:
             # Consumed here, so the pool is shut down before this returns.
             results = list(ordered_map(_read_range, items, usable_cpus()))
         else:
             rest = itertools.chain([(start, block[start:])], blocks)
             results = [_parse_blocks(rest, names, 1)]
-    if header_error is not None:
-        raise header_error
     rows = 0
     for index, (_, count, error) in enumerate(results):
         if error is not None:
@@ -575,15 +576,15 @@ def read_csv(source) -> TimeSeries:
 
     The first line must be the header ``value`` or ``t,value``. Every data
     row must hold finite numbers; errors name the offending data row
-    (1-based, header excluded). A regular file with 2 MiB or more of rows
-    is always split into byte ranges, parsed on every usable CPU (in this
-    process on one); a stream or a smaller file is parsed in one pass in
-    this process. Both read blocks of about 64 KiB and give the same bits
-    and the same messages. The series holds 8 bytes per row (16 with
+    (1-based, header excluded). A regular file with that header and 2 MiB
+    or more of rows is always split into byte ranges, parsed on every
+    usable CPU (in this process on one); a stream or a smaller file is
+    parsed in one pass in this process. Both read blocks of about 64 KiB
+    and give the same bits and the same messages. The series holds 8 bytes per row (16 with
     ``t``) and takes the parsed columns without a copy; parsing holds
     twice that while it joins them.
     """
-    columns = read_table(source, {"value": ("value",), "t,value": ("t", "value")})
+    columns = read_table(source, ("value", "t,value"))
     if len(columns) == 2:
         return TimeSeries(columns[1], times=columns[0])
     return TimeSeries(columns[0])

@@ -28,6 +28,7 @@ from hetquant import (
     write_csv,
     write_distribution_csv,
 )
+from hetquant import cli as cli_module
 from hetquant import series as series_module
 from hetquant.cli import _build_parser, main
 
@@ -566,6 +567,57 @@ class TestSweepCli:
         )
         assert code == 1
         assert "error: configuration:" in err
+
+    @staticmethod
+    def refuse_run(config, workers):
+        raise AssertionError("the grid was run")
+
+    @pytest.mark.parametrize(
+        "paths, message",
+        [
+            (("--out", "missing/r.csv", "--summary", "s.csv"), "[Errno 2] No such file or directory: 'missing/r.csv'"),
+            (("--out", "r.csv", "--summary", "missing/s.csv"), "[Errno 2] No such file or directory: 'missing/s.csv'"),
+            (("--out", "taken", "--summary", "s.csv"), "[Errno 21] Is a directory: 'taken'"),
+            (("--out", "r.csv", "--summary", "taken"), "[Errno 21] Is a directory: 'taken'"),
+        ],
+        ids=["missing-out", "missing-summary", "directory-out", "directory-summary"],
+    )
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    def test_a_bad_output_path_is_refused_before_the_grid(
+        self, tmp_path, capsys, monkeypatch, paths, message, existing
+    ):
+        """Both paths are checked before the grid runs, and neither file is
+        written; a report that was there keeps its bytes."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "taken").mkdir()
+        if existing:
+            (tmp_path / "r.csv").write_bytes(b"old report\n")
+        monkeypatch.setattr(cli_module, "run_sweep", self.refuse_run)
+        assert run_cli(capsys, *self.ARGS, *paths) == (2, "", f"error: io: {message}\n")
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["r.csv", "taken"][not existing :]
+        if existing:
+            assert (tmp_path / "r.csv").read_bytes() == b"old report\n"
+
+    def test_a_failing_grid_leaves_neither_file(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli_module, "run_sweep", self.refuse_run)
+        with pytest.raises(AssertionError, match="the grid was run"):
+            main([*self.ARGS, "--out", "r.csv", "--summary", "s.csv"])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_the_grid_runs_with_both_files_made_and_empty(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        seen = []
+
+        def spy(config, workers):
+            seen.extend(sorted((p.name, p.stat().st_size) for p in tmp_path.iterdir()))
+            return real_run(config, workers=workers)
+
+        real_run = cli_module.run_sweep
+        monkeypatch.setattr(cli_module, "run_sweep", spy)
+        assert run_cli(capsys, *self.ARGS, "--workers", "2", "--out", "r.csv", "--summary", "s.csv")[0] == 0
+        assert [(name.startswith(".hetquant-"), size) for name, size in seen] == [(True, 0)] * 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r.csv", "s.csv"]
 
 
 class TestWriteErrors:

@@ -256,8 +256,7 @@ class TestDistributionCsv:
         data = distribution_csv_bytes(dist)
         back = read_distribution_csv(io.BytesIO(data))
         assert back.masses.tobytes() == dist.masses.tobytes()
-        columns = {"bin_midpoint,mass": ("bin_midpoint", "mass")}
-        mids, _ = series_module.read_table(io.BytesIO(data), columns)
+        mids, _ = series_module.read_table(io.BytesIO(data), ("bin_midpoint,mass",))
         assert mids.tobytes() == dist.midpoints.tobytes()
         np.testing.assert_allclose(back.midpoints, dist.midpoints, atol=1e-12)
 

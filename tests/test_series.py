@@ -679,7 +679,8 @@ def nominal_cut(raw: bytes, header: bytes = b"value\n") -> int:
 
 
 # Inputs whose line ends fall at the nominal cuts, or whose errors fall in
-# different ranges: (raw, how many ranges it is split into).
+# different ranges: (raw, how many ranges it is split into). 0 marks a bad
+# header: the file is not split, though its rows would make three ranges.
 CUT_CASES = [
     # A lone \r, then a \r\n pair, at the cut of a split in two.
     (b"value\n" + b"1\n" * 10 + b"7\r" + b"8\n" * 10, 2),
@@ -694,8 +695,8 @@ CUT_CASES = [
     (b"value\n" + b"1\n" * 3 + b"\xff\n" + b"1\n" * 40 + b"x\n", 3),
     # A row error in the last range only; a header error and invalid UTF-8 late.
     (b"value\n" + b"1\n" * 40 + b"1e400\n", 3),
-    (b"wrong\n" + b"1\n" * 40 + b"\xc3\n", 3),
-    (b"wrong\n" + b"1\n" * 40, 3),
+    (b"wrong\n" + b"1\n" * 40 + b"\xc3\n", 0),
+    (b"wrong\n" + b"1\n" * 40, 0),
 ]
 
 
@@ -712,9 +713,9 @@ class TestByteRanges:
 
     @pytest.mark.parametrize("raw, count", CUT_CASES)
     def test_cut_cases_split_as_intended(self, raw, count, tmp_path):
-        with in_ranges(range_bytes(raw, count), block_bytes=5) as splits:
+        with in_ranges(range_bytes(raw, count or 3), block_bytes=5) as splits:
             read_path(read_csv, raw, tmp_path / "in.csv")
-        assert splits == [count]
+        assert splits == ([count] if count else [])
 
     @pytest.mark.parametrize("raw", EQUIVALENCE_CASES + [raw for raw, _ in CUT_CASES])
     def test_series_cases(self, raw, tmp_path):
@@ -1030,11 +1031,33 @@ class TestPooledParsing:
     @pytest.mark.parametrize("raw, count", CUT_CASES)
     def test_errors_match_the_row_parser(self, monkeypatch, pools, tmp_path, raw, count):
         """Row errors come back from the workers, invalid UTF-8 is raised in
-        them, and both keep their precedence and row numbers."""
-        self.split(monkeypatch, count, range_bytes(raw, count))
+        them, and both keep their precedence and row numbers. A bad header
+        starts no pool."""
+        self.split(monkeypatch, count or 3, range_bytes(raw, count or 3))
         monkeypatch.setattr(series_module, "_BLOCK_BYTES", 5)
         assert read_path(read_csv, raw, tmp_path / "in.csv") == outcome(reference_read_csv, raw)
-        assert pools == [count]
+        assert pools == ([count] if count else [])
+
+    @pytest.mark.parametrize(
+        "tail, message",
+        [
+            (
+                b"\xc3\n",
+                "input is not valid UTF-8: 'utf-8' codec can't decode byte 0xc3 "
+                "in position 80006: invalid continuation byte",
+            ),
+            (b"", "header must be 'value' or 't,value', got 'wrong'"),
+        ],
+        ids=["late-invalid-utf8", "header"],
+    )
+    def test_a_bad_header_is_read_here_in_one_pass(self, monkeypatch, tmp_path, tail, message):
+        """The rest of the file, many ranges and blocks long, is decoded in
+        this process: invalid UTF-8 in a later block still comes first."""
+        raw = b"wrong\n" + b"1.5\n" * 20_000 + tail
+        assert len(raw) > series_module._BLOCK_BYTES
+        self.split(monkeypatch, 4, range_bytes=4096)
+        monkeypatch.setattr(series_module, "process_pool", refuse_pool)
+        assert read_path(read_csv, raw, tmp_path / "in.csv") == ("error", message)
 
     def test_workers_are_capped_at_the_range_count(self, monkeypatch, pools, tmp_path):
         self.split(monkeypatch, 64)

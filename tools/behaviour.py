@@ -103,7 +103,11 @@ def invocations() -> list[tuple[list[str], str | None]]:
         (["generate", "--samples", "16", "--out", "missing/out.csv"], None),
         (["generate", "--samples", "16", "--out", "taken"], None),
         (["analyze", "--input", "linear.csv", "--emit-distribution", "missing/hist.csv"], None),
-        (["sweep", *SWEEP_SMALL, "--out", "sweep-small.csv", "--summary", "missing/summary.csv"], None),
+        # Each names a report that no earlier invocation wrote, so that a
+        # report left behind by a failed sweep shows in its files.
+        (["sweep", *SWEEP_SMALL, "--out", "sweep-unsummarised.csv", "--summary", "missing/summary.csv"], None),
+        (["sweep", *SWEEP_SMALL, "--out", "sweep-partial.csv", "--summary", "taken"], None),
+        (["sweep", *SWEEP_SMALL, "--out", "taken", "--summary", "summary-partial.csv"], None),
     ]
     return runs
 
