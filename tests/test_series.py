@@ -442,6 +442,9 @@ EQUIVALENCE_CASES = [payload for payload, _ in MALFORMED] + [
     b"t,value\n\x1f0,1\x1f\n",
     b"t,value\n0\x1f,1\n",
     b"t,value\n1e400,1\n",
+    # Field counts that cancel out across a block: as many commas as rows.
+    b"t,value\n0,1,2\n3\n",
+    b"t,value\n0\n1,2,3\n",
     # Errors, and rows only the row loop accepts, past the first block.
     b"value\n" + b"1.25\n" * 40 + b"x\n" + b"2\n" * 10,
     b"value\n" + b"1.25\n" * 40 + b"inf\n",
@@ -449,6 +452,8 @@ EQUIVALENCE_CASES = [payload for payload, _ in MALFORMED] + [
     b"t,value\n" + b"0,1\n" * 40 + b"0,1,2\n",
     b"t,value\n" + b"0,1\n" * 40 + b"\n0,1\n",
     b"t,value\n" + b"0,1\n" * 40 + b"0,1e400\n",
+    b"t,value\n" + b"0,1\n" * 40 + b"0,1,2\n3\n",
+    b"t,value\n" + b"0,1\n" * 40 + b"0\n1,2,3\n",
     b"value\n" + b"1\n" * 30 + b"\x1f2\n" + b"3\n" * 30,
     # Invalid UTF-8, at the start, in later blocks, and after a row error.
     b"\xffvalue\n1\n",
@@ -537,6 +542,12 @@ DISTRIBUTION_CASES = [
     b"bin_midpoint,mass\n" + DISTRIBUTION_ROWS + b"\xff\n",
     b"bin_midpoint,mass\n" + DISTRIBUTION_ROWS + b"\xe2\x82",
     b"bin_midpoint,mass\nx,1\n" + DISTRIBUTION_ROWS + b"\xc3\n",
+    # Field counts that cancel out across a block, in the first block and
+    # after 40 good rows.
+    b"bin_midpoint,mass\n0,1,2\n3\n",
+    b"bin_midpoint,mass\n0\n1,2,3\n",
+    b"bin_midpoint,mass\n" + b"0,1\n" * 40 + b"0,1,2\n3\n",
+    b"bin_midpoint,mass\n" + b"0,1\n" * 40 + b"0\n1,2,3\n",
 ]
 
 
@@ -561,6 +572,10 @@ class TestDistributionBlockSizes:
             "input is not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 418: invalid start byte",
             "input is not valid UTF-8: 'utf-8' codec can't decode bytes in position 418-419: unexpected end of data",
             "input is not valid UTF-8: 'utf-8' codec can't decode byte 0xc3 in position 422: invalid continuation byte",
+            "row 1: expected 2 column(s), got 3",
+            "row 1: expected 2 column(s), got 1",
+            "row 41: expected 2 column(s), got 3",
+            "row 41: expected 2 column(s), got 1",
         ]
 
 

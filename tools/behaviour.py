@@ -32,7 +32,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np
 
 from hetquant.cli import main
-from hetquant.divergence import METRICS
+from hetquant.divergence import LOG_BASES, METRICS
 from hetquant.series import usable_cpus
 
 # Series files: (name, generate flags). The last holds more than 2 MiB of
@@ -59,6 +59,13 @@ HAND_WRITTEN = {
     "huge.csv": "value\n" + "1e200\n-1e200\n" * 64,
     "huge-edges.csv": "bin_midpoint,mass\n1e308,0.5\n1.7e308,0.5\n",
     "tiny.csv": "value\n" + "".join(f"{(i * 37) % 7 - 3}e-162\n" for i in range(4096)),
+    # A q on p's grid with zero-mass bins.
+    "q-zero.csv": "bin_midpoint,mass\n0.5,0.5\n1.5,0\n2.5,0.5\n3.5,0\n",
+    # A t,value series with more than 2 MiB of rows, so that reading it by
+    # path splits it into byte ranges.
+    "timed-large.csv": "t,value\n" + "".join(
+        f"{i / 8},{((i * 7919) % 20011 - 10005) * (1 + i // 32768) / 3}\n" for i in range(131072)
+    ),
 }
 BAD_UTF8 = b"value\n1\n\xff\n"
 
@@ -109,6 +116,25 @@ def invocations() -> list[tuple[list[str], str | None]]:
         (["sweep", *SWEEP_SMALL, "--out", "sweep-partial.csv", "--summary", "taken"], None),
         (["sweep", *SWEEP_SMALL, "--out", "taken", "--summary", "summary-partial.csv"], None),
     ]
+    # The two-column reader at sizes the runs above lack: a t,value file read
+    # by path (in byte ranges) and from standard input, and a 4096-bin
+    # distribution file.
+    runs += [
+        (["analyze", "--input", "timed-large.csv", "--emit-distribution", "timed-large-hist.csv"], None),
+        (["analyze", "--input", "-", "--emit-distribution", "timed-large-stdin-hist.csv"], "timed-large.csv"),
+        (["analyze", "--input", "large.csv", "--bins", "4096", "--emit-distribution", "large-4096-hist.csv"], None),
+        (["divergence", "--p", "large-4096-hist.csv", "--metric", "shannon_entropy"], None),
+        (["divergence", "--p", "large-4096-hist.csv", "--q", "large-4096-hist.csv", "--metric", "kl"], None),
+    ]
+    # Every metric against a q with and without zero-mass bins, at each alpha
+    # (none among them) and log base, whether or not the metric takes them.
+    for metric in sorted(METRICS):
+        for q in ("q.csv", "q-zero.csv"):
+            for alpha in (None, "0.5", "2", "3.0", "1e-300"):
+                for base in LOG_BASES:
+                    argv = ["divergence", "--p", "p.csv", "--q", q, "--metric", metric]
+                    argv += [] if alpha is None else ["--alpha", alpha]
+                    runs.append(([*argv, "--log-base", base], None))
     return runs
 
 
