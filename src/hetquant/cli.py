@@ -88,6 +88,7 @@ def _build_parser() -> _Parser:
     _add_generator_flags(gen)
     gen.add_argument("--seed", type=int, default=SegmentedGeneratorConfig.seed, help="64-bit RNG seed")
     gen.add_argument("--out", required=True, help="output series CSV path")
+    gen.set_defaults(run=_cmd_generate)
 
     ana = sub.add_parser(
         "analyze",
@@ -104,6 +105,7 @@ def _build_parser() -> _Parser:
         metavar="PATH",
         help="also write the variance histogram as bin_midpoint,mass CSV",
     )
+    ana.set_defaults(run=_cmd_analyze)
 
     div = sub.add_parser(
         "divergence",
@@ -115,6 +117,7 @@ def _build_parser() -> _Parser:
     div.add_argument("--metric", required=True, choices=sorted(METRICS), help="metric name")
     div.add_argument("--alpha", type=float, help="order parameter for renyi, tsallis, renyi_entropy")
     div.add_argument("--log-base", choices=LOG_BASES, default="natural", help="logarithm base for kl, renyi, and entropies")
+    div.set_defaults(run=_cmd_divergence)
 
     swp = sub.add_parser(
         "sweep",
@@ -134,6 +137,7 @@ def _build_parser() -> _Parser:
     swp.add_argument("--workers", type=int, default=1, help="parallel worker processes")
     swp.add_argument("--out", required=True, help="report CSV path")
     swp.add_argument("--summary", metavar="PATH", help="also write window,metric,spearman,mean_score_k* CSV")
+    swp.set_defaults(run=_cmd_sweep)
 
     return parser
 
@@ -189,19 +193,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-_COMMANDS = {
-    "generate": _cmd_generate,
-    "analyze": _cmd_analyze,
-    "divergence": _cmd_divergence,
-    "sweep": _cmd_sweep,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except HetquantError as exc:
         print(f"error: {exc.category}: {exc}", file=sys.stderr)
         return 1

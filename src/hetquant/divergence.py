@@ -9,6 +9,7 @@ a first-class result value, never an error.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,9 @@ __all__ = [
     "METRICS",
 ]
 
-LOG_BASES = ("natural", "base2")
+# log base -> (scalar log, divisor that turns a natural log into this base)
+_LOGS = {"natural": (math.log, 1.0), "base2": (math.log2, math.log(2.0))}
+LOG_BASES = tuple(_LOGS)
 
 
 def _check_pair(p: ProbabilityDistribution, q: ProbabilityDistribution) -> None:
@@ -40,13 +43,11 @@ def _check_pair(p: ProbabilityDistribution, q: ProbabilityDistribution) -> None:
         raise BinningMismatchError("distributions do not share identical bin edges")
 
 
-def _check_log_base(log_base: str) -> None:
+def _check_log_base(log_base: str) -> tuple[Callable[[float], float], float]:
+    """The ``_LOGS`` entry of ``log_base``, which must be one of ``LOG_BASES``."""
     if log_base not in LOG_BASES:
         raise ParameterError(f"log_base must be one of {LOG_BASES}, got {log_base!r}")
-
-
-def _scalar_log(x: float, log_base: str) -> float:
-    return math.log2(x) if log_base == "base2" else math.log(x)
+    return _LOGS[log_base]
 
 
 def _clamp_rounding(value: float) -> float:
@@ -137,15 +138,13 @@ def kl_divergence(
     Returns +infinity when some bin has positive p-mass but zero q-mass.
     """
     _check_pair(p, q)
-    _check_log_base(log_base)
+    _, divisor = _check_log_base(log_base)
     pm, qm = p.masses, q.masses
     mask = pm > 0
     if bool(np.any(mask & (qm == 0))):
         return math.inf
     value = float(np.sum(pm[mask] * np.log(pm[mask] / qm[mask])))
-    if log_base == "base2":
-        value /= math.log(2.0)
-    return _clamp_rounding(value)
+    return _clamp_rounding(value / divisor)
 
 
 def renyi_divergence(
@@ -161,11 +160,11 @@ def renyi_divergence(
     """
     _check_pair(p, q)
     alpha = _check_alpha(alpha)
-    _check_log_base(log_base)
+    log, _ = _check_log_base(log_base)
     total = _power_sum(p.masses, q.masses, alpha)
     if total == 0.0 or math.isinf(total):
         return math.inf
-    value = _scalar_log(total, log_base) / (alpha - 1.0)
+    value = log(total) / (alpha - 1.0)
     return _clamp_rounding(value)
 
 
@@ -198,12 +197,10 @@ def jensen_shannon_divergence(
 
 def shannon_entropy(p: ProbabilityDistribution, log_base: str = "natural") -> float:
     """-sum p_i log p_i with the 0 log 0 = 0 convention."""
-    _check_log_base(log_base)
+    _, divisor = _check_log_base(log_base)
     masses = p.masses[p.masses > 0]
     value = -float(np.sum(masses * np.log(masses)))
-    if log_base == "base2":
-        value /= math.log(2.0)
-    return _clamp_rounding(value)
+    return _clamp_rounding(value / divisor)
 
 
 def renyi_entropy(
@@ -211,10 +208,10 @@ def renyi_entropy(
 ) -> float:
     """Order-alpha Renyi entropy log(sum p^a) / (1 - a); ln B on uniforms."""
     alpha = _check_alpha(alpha)
-    _check_log_base(log_base)
+    log, _ = _check_log_base(log_base)
     # The power sum against q = 1, whose factors 1^(1-alpha) are exactly 1.
     total = _power_sum(p.masses, np.ones_like(p.masses), alpha)
-    value = _scalar_log(total, log_base) / (1.0 - alpha)
+    value = log(total) / (1.0 - alpha)
     return _clamp_rounding(value)
 
 

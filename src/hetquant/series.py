@@ -36,7 +36,9 @@ __all__ = [
     "format_float",
 ]
 
-SPACINGS = ("linear", "logarithmic")
+# sigma grid spacing -> numpy function of (start, stop, num) that hits both ends
+_GRIDS = {"linear": np.linspace, "logarithmic": np.geomspace}
+SPACINGS = tuple(_GRIDS)
 
 
 def format_float(x: float) -> str:
@@ -183,9 +185,7 @@ def sigma_values(config: SegmentedGeneratorConfig) -> np.ndarray:
     spacing, hitting both endpoints exactly; a single segment uses
     ``sigma_min``.
     """
-    if config.spacing == "linear":
-        return np.linspace(config.sigma_min, config.sigma_max, config.num_sigmas)
-    return np.geomspace(config.sigma_min, config.sigma_max, config.num_sigmas)
+    return _GRIDS[config.spacing](config.sigma_min, config.sigma_max, config.num_sigmas)
 
 
 def generate_segmented(config: SegmentedGeneratorConfig) -> TimeSeries:
@@ -244,15 +244,18 @@ def replacing(path) -> Iterator[BinaryIO]:
     error and removed when it raises.
 
     ``path`` thus holds either its old contents or all that the block
-    wrote, never part of it. A directory at ``path`` is refused before
-    the temporary file is made. An ``OSError`` on the temporary file is
-    raised with its errno and message but with ``path`` given. The file
-    gets the permissions ``open(path, "wb")`` would give it: those of the
-    file it replaces, or 0o666 less the umask for a new one.
+    wrote, never part of it. A symbolic link at ``path`` is followed and
+    kept, as ``open(path, "wb")`` would: the file it names is replaced, or
+    made. A directory there, linked or not, is refused before the
+    temporary file is made. An ``OSError`` on the temporary file or the
+    resolved path is raised with its errno and message but with ``path``
+    given. The file gets the permissions ``open(path, "wb")`` would give
+    it: those of the file it replaces, or 0o666 less the umask for a new one.
     """
-    if os.path.isdir(path) and not os.path.islink(path):
+    real = os.path.realpath(path)
+    if os.path.isdir(real):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
-    directory = os.path.dirname(os.path.abspath(path))
+    directory = os.path.dirname(real)
     try:
         for attempt in itertools.count():
             tmp = os.path.join(directory, f".hetquant-{os.getpid()}-{attempt}")
@@ -265,10 +268,10 @@ def replacing(path) -> Iterator[BinaryIO]:
             with handle:
                 yield handle
             try:
-                os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
+                os.chmod(tmp, stat.S_IMODE(os.stat(real).st_mode))
             except FileNotFoundError:
                 pass
-            os.replace(tmp, path)
+            os.replace(tmp, real)
         except BaseException:
             try:
                 os.unlink(tmp)
@@ -276,8 +279,9 @@ def replacing(path) -> Iterator[BinaryIO]:
                 pass
             raise
     except OSError as exc:
-        # The temporary name is this function's own: report the path asked for.
-        if exc.filename != tmp:
+        # The temporary and resolved names are this function's own: report
+        # the path asked for.
+        if exc.filename not in (tmp, real):
             raise
         raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
 

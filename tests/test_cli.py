@@ -579,8 +579,13 @@ class TestSweepCli:
             (("--out", "r.csv", "--summary", "missing/s.csv"), "[Errno 2] No such file or directory: 'missing/s.csv'"),
             (("--out", "taken", "--summary", "s.csv"), "[Errno 21] Is a directory: 'taken'"),
             (("--out", "r.csv", "--summary", "taken"), "[Errno 21] Is a directory: 'taken'"),
+            (("--out", "taken-link", "--summary", "s.csv"), "[Errno 21] Is a directory: 'taken-link'"),
+            (("--out", "r.csv", "--summary", "taken-link"), "[Errno 21] Is a directory: 'taken-link'"),
         ],
-        ids=["missing-out", "missing-summary", "directory-out", "directory-summary"],
+        ids=[
+            "missing-out", "missing-summary", "directory-out", "directory-summary",
+            "linked-directory-out", "linked-directory-summary",
+        ],
     )
     @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
     def test_a_bad_output_path_is_refused_before_the_grid(
@@ -590,11 +595,12 @@ class TestSweepCli:
         written; a report that was there keeps its bytes."""
         monkeypatch.chdir(tmp_path)
         (tmp_path / "taken").mkdir()
+        (tmp_path / "taken-link").symlink_to("taken")
         if existing:
             (tmp_path / "r.csv").write_bytes(b"old report\n")
         monkeypatch.setattr(cli_module, "run_sweep", self.refuse_run)
         assert run_cli(capsys, *self.ARGS, *paths) == (2, "", f"error: io: {message}\n")
-        assert sorted(p.name for p in tmp_path.rglob("*")) == ["r.csv", "taken"][not existing :]
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["r.csv", "taken", "taken-link"][not existing :]
         if existing:
             assert (tmp_path / "r.csv").read_bytes() == b"old report\n"
 
@@ -638,16 +644,56 @@ class TestWriteErrors:
 
     @pytest.mark.parametrize("command", ["generate", "analyze", "sweep"])
     @pytest.mark.parametrize(
-        "name, code", [("missing/out.csv", errno.ENOENT), ("taken", errno.EISDIR)]
+        "name, code",
+        [("missing/out.csv", errno.ENOENT), ("taken", errno.EISDIR), ("taken-link", errno.EISDIR)],
     )
     def test_error_names_the_given_path(self, tmp_path, capsys, command, name, code):
         (tmp_path / "taken").mkdir()
+        (tmp_path / "taken-link").symlink_to("taken")
         target = str(tmp_path / name)
         exit_code, out, err = run_cli(capsys, *self.argv(command, tmp_path, target))
         assert (exit_code, out) == (2, "")
         assert err == f"error: io: [Errno {code}] {os.strerror(code)}: {target!r}\n"
         assert ".hetquant-" not in err
         assert list(tmp_path.rglob(".hetquant-*")) == []
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX symbolic links and permission bits")
+class TestSymlinkedOutput:
+    """An output path that is a symbolic link to a file is followed: the
+    link stays, and the file it names is written. TestSweepCli and
+    TestWriteErrors cover a link to a directory."""
+
+    GENERATE = ("generate", "--samples", "16", "--seed", "2")
+
+    def expected_series(self, tmp_path) -> bytes:
+        plain = tmp_path / "plain.csv"
+        assert main([*self.GENERATE, "--out", str(plain)]) == 0
+        data = plain.read_bytes()
+        plain.unlink()
+        return data
+
+    def test_a_link_to_a_file_keeps_the_link_and_the_file_mode(self, tmp_path, capsys, monkeypatch):
+        expected = self.expected_series(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "data").mkdir()
+        (tmp_path / "data" / "real.csv").write_bytes(b"value\n1\n")
+        (tmp_path / "data" / "real.csv").chmod(0o640)
+        (tmp_path / "link.csv").symlink_to("data/real.csv")
+        assert run_cli(capsys, *self.GENERATE, "--out", "link.csv") == (0, "", "")
+        assert os.readlink("link.csv") == "data/real.csv"
+        assert Path("data/real.csv").read_bytes() == expected
+        assert stat.S_IMODE(os.stat("data/real.csv").st_mode) == 0o640
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["data", "link.csv", "real.csv"]
+
+    def test_a_dangling_link_makes_its_target(self, tmp_path, capsys, monkeypatch):
+        expected = self.expected_series(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        Path("link.csv").symlink_to("made.csv")
+        assert run_cli(capsys, *self.GENERATE, "--out", "link.csv") == (0, "", "")
+        assert os.readlink("link.csv") == "made.csv"
+        assert Path("made.csv").read_bytes() == expected
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "made.csv"]
 
 
 class TestTopLevel:

@@ -21,6 +21,7 @@ from hetquant import (
     shannon_entropy,
     tsallis_divergence,
 )
+from hetquant.divergence import LOG_BASES, _power_sum
 
 
 def dist(*masses: float) -> ProbabilityDistribution:
@@ -38,6 +39,10 @@ def random_dist(rng: np.random.Generator, bins: int, zeros: bool = False):
             empty[0] = False
         raw[empty] = 0.0
     return dist(*(raw / raw.sum()))
+
+
+def random_pairs(rng: np.random.Generator, count: int, bins: int):
+    return [(random_dist(rng, bins), random_dist(rng, bins)) for _ in range(count)]
 
 
 # Hand evaluations of the closed forms behind the contract's frozen values.
@@ -297,6 +302,37 @@ class TestEntropies:
     def test_invalid_alpha(self, alpha):
         with pytest.raises(ParameterError):
             renyi_entropy(dist(0.5, 0.5), alpha)
+
+
+class TestLogBases:
+    """Base 2 is natural log divided by ln 2 for KL and Shannon entropy, and
+    log2 of the power sum for the Renyi quantities, to the last bit."""
+
+    PAIRS = [
+        (dist(0.5, 0.5), dist(0.25, 0.75)),
+        (dist(0.125, 0.25, 0.375, 0.25), dist(0.25, 0.25, 0.25, 0.25)),
+        *random_pairs(np.random.default_rng(7), 3, bins=64),
+    ]
+
+    def test_names_and_order(self):
+        assert LOG_BASES == ("natural", "base2")
+
+    @pytest.mark.parametrize("p, q", PAIRS)
+    def test_kl_and_shannon_divide_the_natural_value(self, p, q):
+        assert kl_divergence(p, q) > 0.0
+        assert kl_divergence(p, q, "base2") == kl_divergence(p, q) / math.log(2.0)
+        assert shannon_entropy(p) > 0.0
+        assert shannon_entropy(p, "base2") == shannon_entropy(p) / math.log(2.0)
+
+    @pytest.mark.parametrize("alpha", [0.5, 2.0, 3.0])
+    @pytest.mark.parametrize("p, q", PAIRS)
+    def test_renyi_takes_log2_of_the_power_sum(self, p, q, alpha):
+        divergence = math.log2(_power_sum(p.masses, q.masses, alpha)) / (alpha - 1.0)
+        assert divergence > 0.0
+        assert renyi_divergence(p, q, alpha, "base2") == divergence
+        entropy = math.log2(_power_sum(p.masses, np.ones_like(p.masses), alpha)) / (1.0 - alpha)
+        assert entropy > 0.0
+        assert renyi_entropy(p, alpha, "base2") == entropy
 
 
 class TestLimitsTowardKl:

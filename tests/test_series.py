@@ -1,6 +1,7 @@
 """Generator and CSV contracts: partitioning, determinism, round trips."""
 
 import contextlib
+import errno
 import io
 import os
 import re
@@ -39,6 +40,7 @@ from hetquant import (
     write_csv,
 )
 from hetquant import series as series_module
+from hetquant.series import SPACINGS
 
 
 class TestSegmentLengths:
@@ -60,6 +62,9 @@ class TestSegmentLengths:
 
 
 class TestSigmaGrid:
+    def test_spacing_names_and_order(self):
+        assert SPACINGS == ("linear", "logarithmic")
+
     def test_single_segment_uses_sigma_min(self):
         config = SegmentedGeneratorConfig(total_samples=8, num_sigmas=1, sigma_min=0.7)
         assert sigma_values(config).tolist() == [0.7]
@@ -1289,6 +1294,51 @@ class TestStreamedWrite:
         sink = Sink()
         series_module.write_bytes(iter(chunks), sink)
         assert sink.writes == chunks
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX symbolic links and permission bits")
+class TestSymlinkedTarget:
+    """A path that is a symbolic link is written as ``open(path, "wb")``
+    would write it: through the link, which stays a link."""
+
+    SERIES = TimeSeries(np.array([1.0, -2.5, 3.0]))
+
+    def test_a_link_to_a_file_rewrites_the_file_with_its_mode(self, tmp_path):
+        (tmp_path / "data").mkdir()
+        real = tmp_path / "data" / "real.csv"
+        real.write_bytes(b"old\n")
+        real.chmod(0o640)
+        link = tmp_path / "link.csv"
+        link.symlink_to("data/real.csv")
+        write_csv(self.SERIES, link)
+        assert link.is_symlink() and os.readlink(link) == "data/real.csv"
+        assert real.read_bytes() == series_csv_bytes(self.SERIES)
+        assert stat.S_IMODE(real.stat().st_mode) == 0o640
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["data", "link.csv", "real.csv"]
+
+    def test_a_link_to_a_directory_is_refused_by_the_given_name(self, tmp_path):
+        (tmp_path / "dir").mkdir()
+        link = tmp_path / "dirlink"
+        link.symlink_to("dir")
+        message = f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {str(link)!r}"
+        with pytest.raises(IsADirectoryError, match=f"^{re.escape(message)}$"):
+            write_csv(self.SERIES, str(link))
+        assert link.is_symlink() and os.readlink(link) == "dir"
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["dir", "dirlink"]
+
+    def test_a_dangling_link_makes_its_target(self, tmp_path):
+        link = tmp_path / "link.csv"
+        link.symlink_to("made.csv")
+        old_umask = os.umask(0o027)
+        try:
+            write_csv(self.SERIES, link)
+        finally:
+            os.umask(old_umask)
+        made = tmp_path / "made.csv"
+        assert link.is_symlink() and os.readlink(link) == "made.csv"
+        assert made.read_bytes() == series_csv_bytes(self.SERIES)
+        assert stat.S_IMODE(made.stat().st_mode) == 0o640
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "made.csv"]
 
 
 class TestParseMemory:

@@ -66,8 +66,18 @@ HAND_WRITTEN = {
     "timed-large.csv": "t,value\n" + "".join(
         f"{i / 8},{((i * 7919) % 20011 - 10005) * (1 + i // 32768) / 3}\n" for i in range(131072)
     ),
+    # Files that output paths reach through symbolic links (LINKS).
+    "linked-series.csv": "value\n1\n",
+    "linked-report.csv": "old report\n",
 }
 BAD_UTF8 = b"value\n1\n\xff\n"
+# Symbolic links: (name, target). Writing through one rewrites its target and
+# keeps the link; one that names a directory is refused.
+LINKS = [
+    ("series-link.csv", "linked-series.csv"),
+    ("report-link.csv", "linked-report.csv"),
+    ("taken-link", "taken"),
+]
 
 SWEEP_SMALL = ["--sigma-counts", "1,4", "--windows", "16,32", "--bins", "8", "--samples", "1024", "--seeds", "1,2"]
 
@@ -135,6 +145,13 @@ def invocations() -> list[tuple[list[str], str | None]]:
                     argv = ["divergence", "--p", "p.csv", "--q", q, "--metric", metric]
                     argv += [] if alpha is None else ["--alpha", alpha]
                     runs.append(([*argv, "--log-base", base], None))
+    # Output paths that are symbolic links, to a file and to a directory.
+    runs += [
+        (["generate", "--samples", "16", "--seed", "2", "--out", "series-link.csv"], None),
+        (["sweep", *SWEEP_SMALL, "--out", "report-link.csv"], None),
+        (["generate", "--samples", "16", "--out", "taken-link"], None),
+        (["sweep", *SWEEP_SMALL, "--out", "taken-link", "--summary", "summary-before-link.csv"], None),
+    ]
     return runs
 
 
@@ -193,6 +210,8 @@ def manifest() -> dict:
             Path(name).write_text(text)
         Path("bad-utf8.csv").write_bytes(BAD_UTF8)
         Path("taken").mkdir()
+        for name, target in LINKS:
+            Path(name).symlink_to(target)
         return {"machine": machine(), "invocations": [run(argv, stdin) for argv, stdin in invocations()]}
     finally:
         os.chdir(home)
