@@ -20,7 +20,7 @@ from .divergence import (
     distance_from_coefficient,
 )
 from .errors import ConfigurationError, ParameterError
-from .local_variance import local_variance
+from .local_variance import LocalVarianceSeries, _local_variances, local_variance
 from .series import TimeSeries, integer
 
 __all__ = [
@@ -102,12 +102,27 @@ def measure(series: TimeSeries, config: MeasureConfig = MeasureConfig()) -> Meas
     Requires at least window + 1 samples so the histogram sees two or more
     variance estimates.
     """
+    _check_length(series, config.window)
+    return _report(local_variance(series, config.window), config)
+
+
+def _measure_windows(series: TimeSeries, configs) -> list[MeasureReport]:
+    """``measure(series, config)`` for each of ``configs``, in order, with
+    the variances of all their windows from one kernel pass."""
+    for config in configs:
+        _check_length(series, config.window)
+    variances = _local_variances(series, [config.window for config in configs])
+    return [_report(v, config) for v, config in zip(variances, configs)]
+
+
+def _check_length(series: TimeSeries, window: int) -> None:
     n = len(series)
-    if n < config.window + 1:
-        raise ParameterError(
-            f"series length ({n}) must be at least window + 1 ({config.window + 1})"
-        )
-    variances = local_variance(series, config.window)
+    if n < window + 1:
+        raise ParameterError(f"series length ({n}) must be at least window + 1 ({window + 1})")
+
+
+def _report(variances: LocalVarianceSeries, config: MeasureConfig) -> MeasureReport:
+    """Histogram ``variances`` and score them under ``config``."""
     dist = estimate_pdf(variances, config.bins, config.binning)
     scores = score_distribution(dist)
     n_variances = len(variances)

@@ -2,11 +2,14 @@
 
 Each grid is a set, stored as a sorted tuple of distinct ints. A sweep
 is three steps. Each (k, seed) cell generates one series, whose random
-stream depends only on (seed, k), and scores it at every window with one
-``measure`` call, whose ``scores`` give the H_B, H_H and Bhattacharyya
-distance rows. Last, the rows are sorted by (k, window, seed, metric)
-and aggregated per (window, metric), so reports are byte-identical at
-any number of workers and whatever the order or repeats of a grid.
+stream depends only on (seed, k), and scores it at all its windows at
+once: one blocked kernel pass gives every window's variances, and each
+window's histogram and ``scores`` give its H_B, H_H and Bhattacharyya
+distance rows. Each cell equals what ``measure`` (or ``analyze``) gives
+the same series at that window. Last, the rows are sorted by (k, window,
+seed, metric) and aggregated per (window, metric), so reports are
+byte-identical at any number of workers and whatever the order or
+repeats of a grid.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 from .distribution import estimate_pdf  # not called here; kept for perfbench/spans.py, which hooks this name
 from .errors import ConfigurationError, CorrelationUndefinedError, ParameterError
 from .local_variance import local_variance  # not called here; kept for perfbench/spans.py, which hooks this name
-from .measure import METRIC_ORDER, MeasureConfig, measure
+from .measure import METRIC_ORDER, MeasureConfig, _measure_windows
 from .series import SegmentedGeneratorConfig, config_from, csv_bytes, generate_segmented, integer, ordered_map
 
 __all__ = [
@@ -140,15 +143,17 @@ class SummaryRow(NamedTuple):
 
 
 def _cell_rows(config: SweepConfig, cell: tuple[int, int]) -> list[SweepRow]:
-    """Score the series of one (seed, k) cell under every window of the sweep."""
+    """Score the series of one (seed, k) cell under every window of the sweep,
+    from one kernel pass over all the windows; each window's rows hold the
+    ``scores`` that ``measure`` gives the series at that window."""
     seed, k = cell
     series = generate_segmented(config._generator_config(k, seed))
-    rows = []
-    for window in config.windows:
-        report = measure(series, config._measure_config(window))
-        for metric, score in zip(METRIC_ORDER, report.scores):
-            rows.append(SweepRow(k, window, seed, metric, score))
-    return rows
+    reports = _measure_windows(series, [config._measure_config(w) for w in config.windows])
+    return [
+        SweepRow(k, report.config.window, seed, metric, score)
+        for report in reports
+        for metric, score in zip(METRIC_ORDER, report.scores)
+    ]
 
 
 def run_sweep(config: SweepConfig, workers: int = 1) -> "SweepReport":

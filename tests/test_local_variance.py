@@ -2,6 +2,7 @@
 
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from hetquant import (
     local_variance,
 )
 from hetquant.local_variance import _BLOCK_OUTPUTS as BLOCK
-from hetquant.local_variance import _window_sums
+from hetquant.local_variance import _local_variances, _window_sums
 
 
 def two_pass_variance(samples: np.ndarray, window: int) -> np.ndarray:
@@ -31,8 +32,8 @@ def unblocked_variance(samples: np.ndarray, window: int) -> tuple[np.ndarray, fl
     """The kernel's formula over the whole series at once, with no blocks:
     its clamped variances and its zero floor."""
     x = samples - samples.mean()
-    mean = _window_sums(x, window) / window
-    mean_sq = _window_sums(x * x, window) / window
+    mean = _window_sums(x, [window], x.size)[0] / window
+    mean_sq = _window_sums(x * x, [window], x.size)[0] / window
     depth_terms = window.bit_length() + window.bit_count()
     zero_floor = float(1.5 * depth_terms * np.finfo(np.float64).eps * mean_sq.max())
     return np.maximum(mean_sq - mean * mean, 0.0), zero_floor
@@ -156,10 +157,129 @@ class TestBlocks:
         assert inside.max() <= result.zero_floor
 
 
+class TestWindowSets:
+    """One pass over several windows must give each window the bits and the
+    errors of ``local_variance`` at that window alone, whatever set bits
+    the windows have and wherever the shared blocks end."""
+
+    @staticmethod
+    def assert_one_window_bits(samples, windows):
+        series = TimeSeries(samples)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results = _local_variances(series, windows)
+        assert [result.window for result in results] == list(windows)
+        for window, result in zip(windows, results):
+            alone = local_variance(series, window)
+            assert result.variances.tobytes() == alone.variances.tobytes(), window
+            assert result.zero_floor == alone.zero_floor, window
+
+    @pytest.mark.parametrize(
+        "windows", [(3, 5, 100, 128, 1000), (2, 7, 2047, 4097)], ids=["block-2^13", "block-4*4097"]
+    )
+    @pytest.mark.parametrize(
+        "n",
+        [BLOCK - 1, BLOCK + 1, BLOCK + 500, 3 * BLOCK + 5, 4 * 4097 + 3000],
+        # In BLOCK + 500 (first set) and 4 * 4097 + 3000 (second), the last
+        # block holds outputs of the smaller windows only.
+        ids=["2^13-1", "2^13+1", "2^13+500", "3*2^13+5", "4*4097+3000"],
+    )
+    def test_windows_whose_set_bits_differ(self, n, windows):
+        samples = np.random.default_rng(n + len(windows)).standard_t(3, n) * 2.0 + 10.0
+        self.assert_one_window_bits(samples, windows)
+
+    @pytest.mark.parametrize("n", [777, 3 * BLOCK + 5])
+    def test_a_window_equal_to_the_length(self, n):
+        samples = np.random.default_rng(n).normal(1e3, 1.0, n)
+        self.assert_one_window_bits(samples, (3, 100, n))
+
+    @pytest.mark.parametrize(
+        "samples, windows, failing",
+        [
+            # Squares of 5e153 fit, and their sums over 2 and 3 samples;
+            # over 8 they overflow.
+            (np.tile([5e153, -5e153], 8), (2, 3, 8), 8),
+            (np.tile([5e153, -5e153], 8), (8, 2), 8),
+            (np.arange(10.0), (3, 11, 12), 11),
+            (np.arange(10.0), (3, 1, 11), 1),
+            (np.arange(10.0), (11, 1), 11),
+        ],
+        ids=["overflow", "overflow-first", "window-exceeds-length", "window-below-2", "first-error-wins"],
+    )
+    def test_errors_are_those_of_the_first_failing_window(self, samples, windows, failing):
+        series = TimeSeries(samples)
+        with pytest.raises(ParameterError) as alone:
+            local_variance(series, failing)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError) as together:
+                _local_variances(series, windows)
+        assert str(together.value) == str(alone.value)
+
+
+def exact_variance(values: np.ndarray) -> tuple[Fraction, Fraction]:
+    """The exact population variance and mean square of float64 ``values``:
+    each is an integer mantissa times a power of two, so scaled to the
+    smallest of those powers their sums are exact Python ints."""
+    mantissas, exponents = np.frexp(values)
+    ints = (mantissas * 2.0**53).astype(np.int64).tolist()
+    shifts = (exponents - 53).tolist()
+    low = min(shifts)
+    scaled = [m << (shift - low) for m, shift in zip(ints, shifts)]
+    unit = Fraction(2) ** low
+    mean = Fraction(sum(scaled)) * unit / values.size
+    mean_sq = Fraction(sum(v * v for v in scaled)) * unit * unit / values.size
+    return mean_sq - mean * mean, mean_sq
+
+
+_LONG = 1 << 22
+
+
+def _constant_stretches(rng):
+    """Noise and constant stretches far from the mean, 2**13 samples each."""
+    samples = rng.normal(0.0, 1.0, _LONG).reshape(-1, 2, 1 << 13)
+    samples[:, 1, :] = 1234.5678
+    return samples.ravel()
+
+
+class TestLongSeriesRounding:
+    """At N = 2**22, every sampled window's error against the exact variance
+    of the kernel's centred samples stays within the docstring's bound
+    3 (d + 2) u M, M the window's mean square, and so within the zero
+    floor. The bound takes the centred samples as given; the rounding of
+    subtracting the mean is not part of it."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda rng: rng.normal(0.0, 1.0, _LONG) + 1e6,
+            lambda rng: rng.standard_t(2, _LONG),
+            _constant_stretches,
+        ],
+        ids=["large-offset", "heavy-tails", "constant-stretches"],
+    )
+    def test_error_within_the_per_window_bound(self, make):
+        rng = np.random.default_rng(2024)
+        series = TimeSeries(make(rng))
+        samples = series.samples
+        center = samples.mean()
+        for window in (3, 1000, 4095):
+            result = local_variance(series, window)
+            # 3 (d + 2) u, where d + 2 = bit_length(w) + popcount(w) and u = 2**-53.
+            factor = Fraction(3 * (window.bit_length() + window.bit_count()), 2**53)
+            for start in rng.integers(0, _LONG - window + 1, 32).tolist():
+                exact, mean_sq = exact_variance(samples[start : start + window] - center)
+                error = abs(Fraction(float(result.variances[start])) - exact)
+                assert error <= factor * mean_sq, (window, start, float(error))
+                assert error <= Fraction(result.zero_floor), (window, start, float(error))
+
+
 class TestMemory:
-    def test_peak_is_the_result_and_its_copy(self):
-        """16 bytes per sample plus one block's scratch; the whole-series
-        formula holds x, x*x, the doubling levels and both means, 48."""
+    def test_peak_is_the_result_without_a_copy(self):
+        """8 bytes per sample, handed to the container without a copy, plus
+        its one-byte finiteness mask and one block's scratch; the
+        whole-series formula holds x, x*x, the doubling levels and both
+        means, 48."""
         n = 1 << 20
         series = TimeSeries(np.random.default_rng(1).normal(0, 1, n))
         tracemalloc.start()
@@ -169,7 +289,7 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert len(result) == n - 127
-        assert peak < 20 * n
+        assert peak < 12 * n
 
 
 class TestZeroFloor:

@@ -136,21 +136,24 @@ class TestSweepRows:
             assert distance == pytest.approx(-math.log(h_b), abs=1e-12), key
 
     @pytest.mark.parametrize(
-        "binning, generator",
+        "binning, generator, windows",
         [
-            pytest.param("log", {}, id="log"),
-            pytest.param("linear", {}, id="linear"),
+            pytest.param("log", {}, (16, 32), id="log"),
+            pytest.param("linear", {}, (16, 32), id="linear"),
             pytest.param(
                 "log",
                 {"sigma_min": 0.5, "sigma_max": 3.0, "spacing": "logarithmic", "shuffle_segments": True},
+                (16, 32),
                 id="log-generator-fields",
             ),
+            # Windows whose set bits differ share one kernel pass per cell.
+            pytest.param("log", {}, (3, 5, 100, 128), id="log-odd-windows"),
         ],
     )
-    def test_cells_equal_measure(self, binning, generator):
+    def test_cells_equal_measure(self, binning, generator, windows):
         config = SweepConfig(
             sigma_counts=(1, 4, 16),
-            windows=(16, 32),
+            windows=windows,
             bins=16,
             total_samples=2048,
             seeds=(1, 2),

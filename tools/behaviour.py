@@ -152,6 +152,14 @@ def invocations() -> list[tuple[list[str], str | None]]:
         (["generate", "--samples", "16", "--out", "taken-link"], None),
         (["sweep", *SWEEP_SMALL, "--out", "taken-link", "--summary", "summary-before-link.csv"], None),
     ]
+    # A sweep whose windows have different set bits, one of them above 2048,
+    # where the block the kernel shares between windows grows past 2**13.
+    runs.append((
+        ["sweep", "--sigma-counts", "1,4", "--windows", "3,5,100,1000,4097", "--bins", "8",
+         "--samples", "16384", "--seeds", "1,2", "--out", "sweep-odd-windows.csv",
+         "--summary", "summary-odd-windows.csv"],
+        None,
+    ))
     return runs
 
 
