@@ -28,6 +28,11 @@ __all__ = [
     "read_distribution_csv",
 ]
 
+# estimate_pdf counts the values in slices of this many: np.histogram sorts
+# a copy of each slice (of up to 65,536 values by itself), and a sweep cell
+# holds the variances of the windows it has not yet counted beside it.
+_COUNT_SLICE = 1 << 14
+
 _SUM_TOLERANCE = 1e-12
 
 BINNINGS = ("log", "linear")
@@ -118,7 +123,9 @@ def estimate_pdf(variances, bins: int, binning: str = "linear") -> ProbabilityDi
             raise ParameterError(
                 f"the largest variance, {top!r}, is too small to split into {bins} linear bins"
             )
-    occupied, _ = np.histogram(values, bins=counting)
+    # Counts over disjoint slices add up.
+    occupied = sum(np.histogram(values[i : i + _COUNT_SLICE], bins=counting)[0]
+                   for i in range(0, values.size, _COUNT_SLICE))
     counts = np.zeros(bins)
     counts[: occupied.size] = occupied
     return ProbabilityDistribution(edges, counts / counts.sum())

@@ -12,6 +12,7 @@ told from zero.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,13 @@ _NEGATIVE_TOLERANCE = 1e-9
 # series._BLOCK_BYTES does; larger windows take 4 w outputs, so the w - 1
 # samples each block reads again cost at most a quarter more work.
 _BLOCK_OUTPUTS = 1 << 13
+
+# A pass over several windows holds all their results at once. It takes
+# windows while their results hold at most this many times N variances,
+# as one window's result and its copy do, so a sweep's memory does not
+# grow with its number of windows; the default sweep grid's four windows
+# take two passes.
+_PASS_OUTPUTS = 2
 
 
 def variance_array(values) -> np.ndarray:
@@ -68,9 +76,9 @@ class LocalVarianceSeries:
         return int(self.variances.size)
 
 
-def _window_sums(values: np.ndarray, windows: list[int], outputs: int) -> list[np.ndarray]:
-    """Sum the first ``outputs`` length-w slices of ``values`` (as many as
-    it holds, if fewer) for each w of ``windows``, by doubling.
+def _window_sums(values: np.ndarray, windows: list[int], totals: list[np.ndarray]) -> None:
+    """Add to ``totals[i]`` the sums of the first ``totals[i].size``
+    length-``windows[i]`` slices of ``values``, by doubling.
 
     At level k, ``level[i]`` is the sum of ``values[i : i + 2**k]``, and
     ``level[:-2**k] + level[2**k:]`` is level k + 1. A window's sum adds,
@@ -81,18 +89,16 @@ def _window_sums(values: np.ndarray, windows: list[int], outputs: int) -> list[n
     The cost is N log2(max w) adds for the levels and N per set bit of
     each window.
     """
-    totals = [np.zeros(max(0, min(outputs, values.size - w + 1))) for w in windows]
     offsets = [0] * len(windows)
     top = max(windows)
     level, span = values, 1
     while True:
-        for i, window in enumerate(windows):
+        for i, (window, total) in enumerate(zip(windows, totals)):
             if window & span:
-                total = totals[i]
                 total += level[offsets[i] : offsets[i] + total.size]
                 offsets[i] += span
         if 2 * span > top:
-            return totals
+            return
         level = level[:-span] + level[span:]
         span *= 2
 
@@ -139,17 +145,25 @@ def local_variance(series: TimeSeries, window: int) -> LocalVarianceSeries:
     Outputs are computed in blocks of max(2**13, 4 w): block [a, b) reads
     only samples [a, b + w - 1), and since each output is a summation tree
     over its own window, the bits do not depend on the block size. Memory
-    is 8 bytes per sample, the result, which the returned container takes
-    without a copy (9 at peak, while its one-byte finiteness mask is held),
-    plus O(block + w) scratch.
+    is 16 bytes per sample (the result and its frozen copy; 17 at peak,
+    while the copy's one-byte finiteness mask is held) plus O(block + w)
+    scratch. The copy is made after the scratch is freed, so a result
+    that the caller keeps is not left among freed memory, which the
+    allocator can then hand back to the system. (Results kept without a
+    copy left the heap of perfbench's divergence-suite 3 MB larger.)
 
-    This is the one-window case of ``_local_variances``, which computes a
-    sweep cell's windows in one pass with the same bits. That pass holds
-    every window's result at once: one cell of the default sweep grid
-    (65,536 samples, windows 32 to 256) peaks at 3.5 MiB of traced
-    allocations, where one window at a time peaked at 1.75 MiB.
+    This is the one-window case of ``_one_pass``, which gives a sweep
+    cell's windows these bits from shared passes (``_local_variances``).
+    The sweep scores each result and drops it, so it takes them without a
+    copy. A pass holds at most 2 N variances (16 bytes per sample) plus
+    one block of scratch per window: the default sweep grid's windows,
+    32 to 256, take two passes, and one of its cells (65,536 samples)
+    peaks at 1.3 MiB of traced allocations, about as much as one window
+    at a time.
     """
-    return _local_variances(series, [window])[0]
+    samples = series.samples
+    [estimate] = _one_pass(samples, [_checked_window(window, samples.size)], copy=True)
+    return estimate
 
 
 def _checked_window(window, n: int) -> int:
@@ -160,21 +174,49 @@ def _checked_window(window, n: int) -> int:
     return window
 
 
-def _local_variances(series: TimeSeries, windows) -> list[LocalVarianceSeries]:
-    """``local_variance(series, w)`` for each w of ``windows``, in order,
-    from one blocked pass whose blocks hold max(2**13, 4 max(w)) outputs.
+def _local_variances(series: TimeSeries, windows) -> Iterator[LocalVarianceSeries]:
+    """Yield ``local_variance(series, w)`` for each w of ``windows``, in
+    order, each holding its result without a copy.
 
-    Each block builds the doubling levels of its centred samples once, up
-    to the largest window, and every window takes its sums from them; the
-    bits are those of one window at a time. The first window that is out
-    of range, or whose sums overflow, raises as ``local_variance`` would.
+    The windows are computed in passes. Each pass takes the next windows,
+    in order, while their results hold at most ``_PASS_OUTPUTS`` times N
+    variances (and at least one window), and holds only its own results
+    until they are yielded. The windows are checked first, in order: the
+    first one that is out of range raises as ``local_variance`` would, and
+    so does the first whose sums overflow.
     """
     samples = series.samples
     n = samples.size
     windows = [_checked_window(window, n) for window in windows]
+    passes, outputs = [[]], 0
+    for window in windows:
+        if passes[-1] and outputs + n - window + 1 > _PASS_OUTPUTS * n:
+            passes.append([])
+            outputs = 0
+        passes[-1].append(window)
+        outputs += n - window + 1
+    for group in passes:
+        results = _one_pass(samples, group, copy=False)
+        results.reverse()
+        # Yielded one at a time, so the caller can free each when done.
+        while results:
+            yield results.pop()
+
+
+def _one_pass(samples: np.ndarray, windows: list[int], *, copy: bool) -> list[LocalVarianceSeries]:
+    """``local_variance`` at each of ``windows`` from one blocked pass, whose
+    blocks hold max(2**13, 4 max(w)) outputs. Each block builds the doubling
+    levels of its centred samples once, up to the largest window, and every
+    window takes its sums from them; the bits are those of one window alone.
+    With ``copy`` false, each container takes its result without a copy.
+    """
+    n = samples.size
     top = max(windows)
     block = max(_BLOCK_OUTPUTS, 4 * top)
-    results = [np.empty(n - window + 1) for window in windows]
+    # Each window's means are summed in its result, its mean squares in
+    # one block of scratch.
+    results = [np.zeros(n - window + 1) for window in windows]
+    scratch = [np.empty(min(block, n - window + 1)) for window in windows]
     block_max_sq = [[] for _ in windows]
     block_min = [[] for _ in windows]
     # Overflow turns up as a zero floor that is not finite, checked below.
@@ -182,22 +224,26 @@ def _local_variances(series: TimeSeries, windows) -> list[LocalVarianceSeries]:
         center = samples.mean()
         for a in range(0, n - min(windows) + 1, block):
             # Window w's outputs [a, a + block) read samples [a, a + block + w - 1),
-            # cut at the series' end: a prefix of x.
+            # cut at the series' end: a prefix of x. A window whose outputs
+            # ended in an earlier block gets empty slices.
             x = samples[a : a + block + top - 1] - center
-            means = _window_sums(x, windows, block)
+            means = [result[a : a + block] for result in results]
+            _window_sums(x, windows, means)
             np.multiply(x, x, out=x)
-            mean_sqs = _window_sums(x, windows, block)
+            mean_sqs = [part[: mean.size] for part, mean in zip(scratch, means)]
+            for mean_sq in mean_sqs:
+                mean_sq.fill(0.0)
+            _window_sums(x, windows, mean_sqs)
             for i, (window, mean, mean_sq) in enumerate(zip(windows, means, mean_sqs)):
                 if not mean.size:
-                    continue  # this window's outputs ended in an earlier block
+                    continue
                 mean /= window
                 mean_sq /= window
                 np.multiply(mean, mean, out=mean)
-                out = results[i][a : a + mean.size]
-                np.subtract(mean_sq, mean, out=out)
+                np.subtract(mean_sq, mean, out=mean)
                 block_max_sq[i].append(mean_sq.max())
-                block_min[i].append(out.min())
-                np.maximum(out, 0.0, out=out)
+                block_min[i].append(mean.min())
+                np.maximum(mean, 0.0, out=mean)
     estimates = []
     for window, variances, max_sq, lows in zip(windows, results, block_max_sq, block_min):
         # np.max and np.min, unlike Python's, keep a NaN from any block.
@@ -210,7 +256,8 @@ def _local_variances(series: TimeSeries, windows) -> list[LocalVarianceSeries]:
             raise InternalError(
                 f"box-filter variance fell to {lowest}, beyond rounding tolerance"
             )
-        # Handed over: nothing else holds this array, so it is not copied.
-        variances.flags.writeable = False
+        if not copy:
+            # Handed over: nothing else holds this array.
+            variances.flags.writeable = False
         estimates.append(LocalVarianceSeries(variances, window=window, zero_floor=zero_floor))
     return estimates

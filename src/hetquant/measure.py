@@ -107,12 +107,14 @@ def measure(series: TimeSeries, config: MeasureConfig = MeasureConfig()) -> Meas
 
 
 def _measure_windows(series: TimeSeries, configs) -> list[MeasureReport]:
-    """``measure(series, config)`` for each of ``configs``, in order, with
-    the variances of all their windows from one kernel pass."""
+    """``measure(series, config)`` for each of ``configs``, in order. The
+    windows share the kernel's passes (see ``_local_variances``), and each
+    window's variances are freed once its histogram is taken."""
     for config in configs:
         _check_length(series, config.window)
     variances = _local_variances(series, [config.window for config in configs])
-    return [_report(v, config) for v, config in zip(variances, configs)]
+    # Nothing here holds a window's variances while the next pass runs.
+    return [_report(next(variances), config) for config in configs]
 
 
 def _check_length(series: TimeSeries, window: int) -> None:

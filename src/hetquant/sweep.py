@@ -2,14 +2,14 @@
 
 Each grid is a set, stored as a sorted tuple of distinct ints. A sweep
 is three steps. Each (k, seed) cell generates one series, whose random
-stream depends only on (seed, k), and scores it at all its windows at
-once: one blocked kernel pass gives every window's variances, and each
-window's histogram and ``scores`` give its H_B, H_H and Bhattacharyya
-distance rows. Each cell equals what ``measure`` (or ``analyze``) gives
-the same series at that window. Last, the rows are sorted by (k, window,
-seed, metric) and aggregated per (window, metric), so reports are
-byte-identical at any number of workers and whatever the order or
-repeats of a grid.
+stream depends only on (seed, k), and scores it at all its windows:
+the windows share the variance kernel's blocked passes, two windows of
+a long series to a pass, and each window's histogram and ``scores``
+give its H_B, H_H and Bhattacharyya distance rows. Each cell equals
+what ``measure`` (or ``analyze``) gives the same series at that window.
+Last, the rows are sorted by (k, window, seed, metric) and aggregated
+per (window, metric), so reports are byte-identical at any number of
+workers and whatever the order or repeats of a grid.
 """
 
 from __future__ import annotations
@@ -144,8 +144,8 @@ class SummaryRow(NamedTuple):
 
 def _cell_rows(config: SweepConfig, cell: tuple[int, int]) -> list[SweepRow]:
     """Score the series of one (seed, k) cell under every window of the sweep,
-    from one kernel pass over all the windows; each window's rows hold the
-    ``scores`` that ``measure`` gives the series at that window."""
+    whose variances come from the kernel's shared passes; each window's rows
+    hold the ``scores`` that ``measure`` gives the series at that window."""
     seed, k = cell
     series = generate_segmented(config._generator_config(k, seed))
     reports = _measure_windows(series, [config._measure_config(w) for w in config.windows])

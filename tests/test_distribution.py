@@ -20,9 +20,29 @@ from hetquant import (
     write_distribution_csv,
 )
 from hetquant import series as series_module
+from hetquant.distribution import _COUNT_SLICE as COUNT_SLICE
+from hetquant.distribution import _log_edges
 
 
 class TestEstimatePdf:
+    @pytest.mark.parametrize("binning", ["linear", "log"])
+    @pytest.mark.parametrize("n", [COUNT_SLICE - 1, COUNT_SLICE + 1, 4 * COUNT_SLICE + 5])
+    def test_counts_in_slices_equal_one_histogram(self, n, binning):
+        """Counting slice by slice gives np.histogram's counts of the whole
+        array, whose own blocks of 65,536 values these lengths stay under."""
+        samples = np.random.default_rng(n).standard_t(3, n + 31)
+        variances = local_variance(TimeSeries(samples), 32)
+        dist = estimate_pdf(variances, 64, binning)
+        values = variances.variances
+        if binning == "log":
+            _, counting = _log_edges(values, 64, 32, variances.zero_floor)
+        else:
+            counting = dist.edges
+        whole, _ = np.histogram(values, bins=counting)
+        counts = np.zeros(64)
+        counts[: whole.size] = whole
+        assert np.array_equal(dist.masses, counts / counts.sum())
+
     def test_hand_binned_example(self):
         dist = estimate_pdf(np.array([0.5, 1.5, 2.5, 3.5]), bins=4)
         np.testing.assert_allclose(

@@ -18,7 +18,7 @@ from hetquant import (
     local_variance,
 )
 from hetquant.local_variance import _BLOCK_OUTPUTS as BLOCK
-from hetquant.local_variance import _local_variances, _window_sums
+from hetquant.local_variance import _local_variances, _one_pass
 
 
 def two_pass_variance(samples: np.ndarray, window: int) -> np.ndarray:
@@ -28,12 +28,30 @@ def two_pass_variance(samples: np.ndarray, window: int) -> np.ndarray:
     return ((windows - means[:, None]) ** 2).mean(axis=1)
 
 
+def doubling_sums(values: np.ndarray, window: int) -> np.ndarray:
+    """The sums of every length-``window`` slice of ``values``, by doubling
+    on one window alone: at increasing offsets, the level of every set bit
+    of ``window``, added to zeros in that order. Kept apart from the
+    kernel's code, so that a fault shared by its windows cannot pass here."""
+    n_out = values.size - window + 1
+    total = np.zeros(n_out)
+    level, offset, span = values, 0, 1
+    while True:
+        if window & span:
+            total += level[offset : offset + n_out]
+            offset += span
+        if 2 * span > window:
+            return total
+        level = level[:-span] + level[span:]
+        span *= 2
+
+
 def unblocked_variance(samples: np.ndarray, window: int) -> tuple[np.ndarray, float]:
     """The kernel's formula over the whole series at once, with no blocks:
     its clamped variances and its zero floor."""
     x = samples - samples.mean()
-    mean = _window_sums(x, [window], x.size)[0] / window
-    mean_sq = _window_sums(x * x, [window], x.size)[0] / window
+    mean = doubling_sums(x, window) / window
+    mean_sq = doubling_sums(x * x, window) / window
     depth_terms = window.bit_length() + window.bit_count()
     zero_floor = float(1.5 * depth_terms * np.finfo(np.float64).eps * mean_sq.max())
     return np.maximum(mean_sq - mean * mean, 0.0), zero_floor
@@ -158,21 +176,30 @@ class TestBlocks:
 
 
 class TestWindowSets:
-    """One pass over several windows must give each window the bits and the
-    errors of ``local_variance`` at that window alone, whatever set bits
-    the windows have and wherever the shared blocks end."""
+    """Shared passes over several windows must give each window the bits
+    and the errors of ``local_variance`` at that window alone, and of the
+    unblocked one-window formula, whatever set bits the windows have,
+    wherever the shared blocks end and however the windows split into
+    passes."""
 
     @staticmethod
     def assert_one_window_bits(samples, windows):
         series = TimeSeries(samples)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            results = _local_variances(series, windows)
+            results = list(_local_variances(series, windows))
+            # All the windows in one pass, whatever the passes' size limit.
+            together = _one_pass(series.samples, list(windows), copy=False)
         assert [result.window for result in results] == list(windows)
-        for window, result in zip(windows, results):
+        for window, result, shared in zip(windows, results, together):
+            assert shared.variances.tobytes() == result.variances.tobytes(), window
+            assert shared.zero_floor == result.zero_floor, window
             alone = local_variance(series, window)
             assert result.variances.tobytes() == alone.variances.tobytes(), window
             assert result.zero_floor == alone.zero_floor, window
+            variances, zero_floor = unblocked_variance(samples, window)
+            assert result.variances.tobytes() == variances.tobytes(), window
+            assert result.zero_floor == zero_floor, window
 
     @pytest.mark.parametrize(
         "windows", [(3, 5, 100, 128, 1000), (2, 7, 2047, 4097)], ids=["block-2^13", "block-4*4097"]
@@ -213,7 +240,7 @@ class TestWindowSets:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ParameterError) as together:
-                _local_variances(series, windows)
+                list(_local_variances(series, windows))
         assert str(together.value) == str(alone.value)
 
 
@@ -275,21 +302,41 @@ class TestLongSeriesRounding:
 
 
 class TestMemory:
-    def test_peak_is_the_result_without_a_copy(self):
-        """8 bytes per sample, handed to the container without a copy, plus
-        its one-byte finiteness mask and one block's scratch; the
-        whole-series formula holds x, x*x, the doubling levels and both
-        means, 48."""
-        n = 1 << 20
-        series = TimeSeries(np.random.default_rng(1).normal(0, 1, n))
+    @staticmethod
+    def traced_peak(work):
         tracemalloc.start()
         try:
-            result = local_variance(series, 128)
+            work()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(result) == n - 127
-        assert peak < 12 * n
+        return peak
+
+    def test_peak_is_the_result_and_its_copy(self):
+        """16 bytes per sample plus one block's scratch; the whole-series
+        formula holds x, x*x, the doubling levels and both means, 48."""
+        n = 1 << 20
+        series = TimeSeries(np.random.default_rng(1).normal(0, 1, n))
+        results = []
+        peak = self.traced_peak(lambda: results.append(local_variance(series, 128)))
+        assert len(results[0]) == n - 127
+        assert peak < 20 * n
+
+    def test_many_windows_hold_two_results_at_a_time(self):
+        """Forty windows taken one at a time, as the sweep takes them: a
+        pass holds at most 2 N variances, 16 bytes per sample, taken without
+        copies, plus a finiteness mask and a block of scratch per window,
+        where all forty would hold 320."""
+        n = 1 << 18
+        series = TimeSeries(np.random.default_rng(2).normal(0, 1, n))
+        windows = range(2, 42)
+
+        def consume():
+            results = _local_variances(series, windows)
+            for window in windows:
+                assert next(results).window == window
+
+        assert self.traced_peak(consume) < 20 * n
 
 
 class TestZeroFloor:

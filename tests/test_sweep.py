@@ -146,7 +146,7 @@ class TestSweepRows:
                 (16, 32),
                 id="log-generator-fields",
             ),
-            # Windows whose set bits differ share one kernel pass per cell.
+            # Windows whose set bits differ share the kernel's passes, two to a pass.
             pytest.param("log", {}, (3, 5, 100, 128), id="log-odd-windows"),
         ],
     )
