@@ -6,13 +6,15 @@ as ``error: <category>: <detail>``. Output files are written to a
 temporary sibling and renamed into place, so a failing run never leaves a
 partial file behind. ``sweep`` makes both of its temporary files before it
 runs the grid and renames them only after both are written, so it writes
-both of its files or neither.
+both of its files or neither; two paths that name one file are refused
+first.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 
 from .distribution import BINNINGS, distribution_csv_bytes, read_distribution_csv
@@ -180,6 +182,12 @@ def _cmd_divergence(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    # Renamed into place one after the other, two names of one file would
+    # keep only the report. They are compared as ``replacing`` resolves them.
+    if args.summary and os.path.realpath(args.out) == os.path.realpath(args.summary):
+        raise _UsageError(
+            f"--out {args.out!r} and --summary {args.summary!r} name the same file"
+        )
     config = config_from(SweepConfig, args)
     # Both files are made before the grid runs and renamed only after both
     # are written. Nothing is written to them before the pool forks.

@@ -76,26 +76,42 @@ class LocalVarianceSeries:
         return int(self.variances.size)
 
 
-def _window_sums(values: np.ndarray, windows: list[int], totals: list[np.ndarray]) -> None:
-    """Add to ``totals[i]`` the sums of the first ``totals[i].size``
+def _window_means(values: np.ndarray, windows: list[int], means: list[np.ndarray]) -> None:
+    """Write into ``means[i]`` the means of the first ``means[i].size``
     length-``windows[i]`` slices of ``values``, by doubling.
 
     At level k, ``level[i]`` is the sum of ``values[i : i + 2**k]``, and
     ``level[:-2**k] + level[2**k:]`` is level k + 1. A window's sum adds,
     at increasing offsets, the level of every set bit k of w. The levels
-    are built once, up to the largest window, and each is added to every
+    are built once, up to the largest window, and each is taken by every
     window that has its bit while it is the current one. So each output is
     a summation tree over its own window only, whatever the other windows.
-    The cost is N log2(max w) adds for the levels and N per set bit of
-    each window.
+    A window's first set-bit level is written straight into its output:
+    divided by w at once if it is w's only bit, as at the default sweep's
+    windows, else copied, with the other levels added in order and the
+    sum divided by w after the last. The cost is N log2(max w) adds for
+    the levels and N per set bit of each window, plus N for its division.
+
+    The sum starts at its first level, not at 0.0 plus it. The two differ
+    only where that level is -0.0, which 0.0 + -0.0 turns into +0.0, so a
+    sum can differ from the zero-based one only in the sign of a zero.
     """
     offsets = [0] * len(windows)
     top = max(windows)
     level, span = values, 1
     while True:
-        for i, (window, total) in enumerate(zip(windows, totals)):
+        for i, (window, mean) in enumerate(zip(windows, means)):
             if window & span:
-                total += level[offsets[i] : offsets[i] + total.size]
+                part = level[offsets[i] : offsets[i] + mean.size]
+                first, last = offsets[i] == 0, 2 * span > window
+                if first and last:
+                    np.divide(part, window, out=mean)
+                elif first:
+                    np.copyto(mean, part)
+                else:
+                    mean += part
+                    if last:
+                        mean /= window
                 offsets[i] += span
         if 2 * span > top:
             return
@@ -120,7 +136,7 @@ def local_variance(series: TimeSeries, window: int) -> LocalVarianceSeries:
 
     The global mean is subtracted first to limit catastrophic cancellation
     in E[x^2] - E[x]^2. The windowed sums of x and x^2 are then formed in
-    float64 by doubling (see ``_window_sums``), so each window's sums are
+    float64 by doubling (see ``_window_means``), so each window's sums are
     rounded only along a summation tree over its own w samples, of depth at
     most d = bit_length(w) - 1 + popcount(w) - 1. The rounding therefore
     does not grow with the series length and does not depend on the
@@ -151,6 +167,14 @@ def local_variance(series: TimeSeries, window: int) -> LocalVarianceSeries:
     that the caller keeps is not left among freed memory, which the
     allocator can then hand back to the system. (Results kept without a
     copy left the heap of perfbench's divergence-suite 3 MB larger.)
+
+    Per block, a window's means and mean squares start from their first
+    doubling level (see ``_window_means``), not from zeros, and the block
+    is clamped only when its smallest variance is not >= 0: six passes over
+    the block at a power-of-two w. Starting from the first level changes
+    only the sign of a zero sum of -0.0 samples (0.0 + -0.0 is +0.0). That
+    sign reaches only a mean that is then squared, and a sum of squares is
+    never -0.0, so every variance and zero floor keeps its bits.
 
     This is the one-window case of ``_one_pass``, which gives a sweep
     cell's windows these bits from shared passes (``_local_variances``).
@@ -207,15 +231,18 @@ def _one_pass(samples: np.ndarray, windows: list[int], *, copy: bool) -> list[Lo
     """``local_variance`` at each of ``windows`` from one blocked pass, whose
     blocks hold max(2**13, 4 max(w)) outputs. Each block builds the doubling
     levels of its centred samples once, up to the largest window, and every
-    window takes its sums from them; the bits are those of one window alone.
-    With ``copy`` false, each container takes its result without a copy.
+    window takes its means from them; the bits are those of one window
+    alone. Then each window squares its means, subtracts them from its mean
+    squares, takes the block's largest mean square and smallest variance,
+    and clamps the block only if that smallest value is not >= 0. With
+    ``copy`` false, each container takes its result without a copy.
     """
     n = samples.size
     top = max(windows)
     block = max(_BLOCK_OUTPUTS, 4 * top)
-    # Each window's means are summed in its result, its mean squares in
-    # one block of scratch.
-    results = [np.zeros(n - window + 1) for window in windows]
+    # Each window's means are written into its result, its mean squares
+    # into one block of scratch; every element is written before it is read.
+    results = [np.empty(n - window + 1) for window in windows]
     scratch = [np.empty(min(block, n - window + 1)) for window in windows]
     block_max_sq = [[] for _ in windows]
     block_min = [[] for _ in windows]
@@ -228,22 +255,22 @@ def _one_pass(samples: np.ndarray, windows: list[int], *, copy: bool) -> list[Lo
             # ended in an earlier block gets empty slices.
             x = samples[a : a + block + top - 1] - center
             means = [result[a : a + block] for result in results]
-            _window_sums(x, windows, means)
+            _window_means(x, windows, means)
             np.multiply(x, x, out=x)
             mean_sqs = [part[: mean.size] for part, mean in zip(scratch, means)]
-            for mean_sq in mean_sqs:
-                mean_sq.fill(0.0)
-            _window_sums(x, windows, mean_sqs)
-            for i, (window, mean, mean_sq) in enumerate(zip(windows, means, mean_sqs)):
+            _window_means(x, windows, mean_sqs)
+            for i, (mean, mean_sq) in enumerate(zip(means, mean_sqs)):
                 if not mean.size:
                     continue
-                mean /= window
-                mean_sq /= window
                 np.multiply(mean, mean, out=mean)
                 np.subtract(mean_sq, mean, out=mean)
                 block_max_sq[i].append(mean_sq.max())
-                block_min[i].append(mean.min())
-                np.maximum(mean, 0.0, out=mean)
+                low = mean.min()
+                block_min[i].append(low)
+                # Not "low < 0": a block whose minimum is NaN can hold
+                # negative values too.
+                if not low >= 0:
+                    np.maximum(mean, 0.0, out=mean)
     estimates = []
     for window, variances, max_sq, lows in zip(windows, results, block_max_sq, block_min):
         # np.max and np.min, unlike Python's, keep a NaN from any block.

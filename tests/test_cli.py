@@ -604,6 +604,17 @@ class TestSweepCli:
         if existing:
             assert (tmp_path / "r.csv").read_bytes() == b"old report\n"
 
+    @pytest.mark.parametrize("summary", ["r.csv", "./r.csv", "link.csv"], ids=["same", "dot-slash", "symlink"])
+    def test_two_names_of_one_file_are_refused_before_the_grid(self, tmp_path, capsys, monkeypatch, summary):
+        """Renamed into place one after the other, they would keep only the
+        report; the refusal names both paths as given and makes no file."""
+        monkeypatch.chdir(tmp_path)
+        Path("link.csv").symlink_to("r.csv")
+        monkeypatch.setattr(cli_module, "run_sweep", self.refuse_run)
+        message = f"error: usage: --out 'r.csv' and --summary {summary!r} name the same file\n"
+        assert run_cli(capsys, *self.ARGS, "--out", "r.csv", "--summary", summary) == (1, "", message)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv"]
+
     def test_a_failing_grid_leaves_neither_file(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(cli_module, "run_sweep", self.refuse_run)

@@ -46,15 +46,21 @@ def doubling_sums(values: np.ndarray, window: int) -> np.ndarray:
         span *= 2
 
 
-def unblocked_variance(samples: np.ndarray, window: int) -> tuple[np.ndarray, float]:
-    """The kernel's formula over the whole series at once, with no blocks:
-    its clamped variances and its zero floor."""
+def raw_variance(samples: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel's formula over the whole series at once, with no blocks
+    and no clamp: its variances and its mean squares."""
     x = samples - samples.mean()
     mean = doubling_sums(x, window) / window
     mean_sq = doubling_sums(x * x, window) / window
+    return mean_sq - mean * mean, mean_sq
+
+
+def unblocked_variance(samples: np.ndarray, window: int) -> tuple[np.ndarray, float]:
+    """``raw_variance`` clamped at zero, and its zero floor."""
+    variances, mean_sq = raw_variance(samples, window)
     depth_terms = window.bit_length() + window.bit_count()
     zero_floor = float(1.5 * depth_terms * np.finfo(np.float64).eps * mean_sq.max())
-    return np.maximum(mean_sq - mean * mean, 0.0), zero_floor
+    return np.maximum(variances, 0.0), zero_floor
 
 
 class TestExamples:
@@ -242,6 +248,40 @@ class TestWindowSets:
             with pytest.raises(ParameterError) as together:
                 list(_local_variances(series, windows))
         assert str(together.value) == str(alone.value)
+
+
+class TestClamp:
+    """Rounding can leave a window's variance below zero; the kernel clamps
+    only the blocks that hold such a value, and every block keeps the bits
+    of the clamped formula."""
+
+    def test_a_block_with_negative_residues_between_two_without(self):
+        window = 100
+        samples = np.random.default_rng(3).normal(0.0, 1.0, 3 * BLOCK + window - 1)
+        samples[BLOCK + 2000 : BLOCK + 4000] = 7.3
+        raw, _ = raw_variance(samples, window)
+        lows = raw.reshape(3, BLOCK).min(axis=1)
+        assert lows[1] < 0 <= min(lows[0], lows[2])
+        TestWindowSets.assert_one_window_bits(samples, (3, window, 128))
+
+
+class TestSignedZeros:
+    """Centred samples of -0.0 make window sums of -0.0, which a sum that
+    starts at 0.0 turns into +0.0. Only the sign of a mean that is then
+    squared can differ, so every variance, zero included, keeps its bits."""
+
+    @pytest.mark.parametrize(
+        "windows", [(2, 64, 128), (3, 7, 100)], ids=["one-set-bit", "several-set-bits"]
+    )
+    def test_negative_zero_samples_whose_mean_is_zero(self, windows):
+        samples = np.full(2 * BLOCK + 300, -0.0)
+        # Integers whose exact sum is 0, on both sides of a block edge.
+        samples[:200:2], samples[1:200:2] = 3.0, -3.0
+        samples[BLOCK + 50 : BLOCK + 250] = np.tile([-1.0, 2.0, -1.0, 5.0, -5.0], 40)
+        center = samples.mean()
+        assert center == 0.0 and not np.signbit(center)
+        assert np.signbit(samples - center)[250:BLOCK].all()
+        TestWindowSets.assert_one_window_bits(samples, windows)
 
 
 def exact_variance(values: np.ndarray) -> tuple[Fraction, Fraction]:
