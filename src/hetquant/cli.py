@@ -7,7 +7,8 @@ temporary sibling and renamed into place, so a failing run never leaves a
 partial file behind. ``sweep`` makes both of its temporary files before it
 runs the grid and renames them only after both are written, so it writes
 both of its files or neither; two paths that name one file are refused
-first.
+first. So are an ``analyze`` input path and histogram path that name one
+file, before the input is read.
 """
 
 from __future__ import annotations
@@ -150,7 +151,17 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _refuse_one_file(first: str, first_path: str, second: str, second_path: str) -> None:
+    """Raise a usage error if the two paths name one file, compared as
+    ``replacing`` resolves them."""
+    if os.path.realpath(first_path) == os.path.realpath(second_path):
+        raise _UsageError(f"{first} {first_path!r} and {second} {second_path!r} name the same file")
+
+
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    # The histogram would replace the series it was taken from.
+    if args.emit_distribution and args.input != "-":
+        _refuse_one_file("--input", args.input, "--emit-distribution", args.emit_distribution)
     config = config_from(MeasureConfig, args)
     series = read_csv(sys.stdin.buffer if args.input == "-" else args.input)
     report = measure(series, config)
@@ -183,11 +194,9 @@ def _cmd_divergence(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     # Renamed into place one after the other, two names of one file would
-    # keep only the report. They are compared as ``replacing`` resolves them.
-    if args.summary and os.path.realpath(args.out) == os.path.realpath(args.summary):
-        raise _UsageError(
-            f"--out {args.out!r} and --summary {args.summary!r} name the same file"
-        )
+    # keep only the report.
+    if args.summary:
+        _refuse_one_file("--out", args.out, "--summary", args.summary)
     config = config_from(SweepConfig, args)
     # Both files are made before the grid runs and renamed only after both
     # are written. Nothing is written to them before the pool forks.

@@ -28,9 +28,9 @@ __all__ = [
     "read_distribution_csv",
 ]
 
-# estimate_pdf counts the values in slices of this many: np.histogram sorts
-# a copy of each slice (of up to 65,536 values by itself), and a sweep cell
-# holds the variances of the windows it has not yet counted beside it.
+# estimate_pdf counts the values in slices of this many: it sorts a copy of
+# each slice, and a sweep cell holds the variances of the windows it has not
+# yet counted beside it.
 _COUNT_SLICE = 1 << 14
 
 _SUM_TOLERANCE = 1e-12
@@ -123,12 +123,26 @@ def estimate_pdf(variances, bins: int, binning: str = "linear") -> ProbabilityDi
             raise ParameterError(
                 f"the largest variance, {top!r}, is too small to split into {bins} linear bins"
             )
-    # Counts over disjoint slices add up.
-    occupied = sum(np.histogram(values[i : i + _COUNT_SLICE], bins=counting)[0]
-                   for i in range(0, values.size, _COUNT_SLICE))
+    occupied = _bin_counts(values, counting)
     counts = np.zeros(bins)
     counts[: occupied.size] = occupied
     return ProbabilityDistribution(edges, counts / counts.sum())
+
+
+def _bin_counts(values: np.ndarray, counting: np.ndarray) -> np.ndarray:
+    """``np.histogram(values, bins=counting)[0]`` for values that all lie in
+    [counting[0], counting[-1]], the last bin including its right edge.
+
+    As np.histogram does with explicit edges, a sorted copy of each slice of
+    the values is searched for the edges, without np.histogram's checks and
+    set-up on every slice. The values below each edge but the last add up
+    over the slices, all of them lie at or below the last, and the counts
+    are the differences.
+    """
+    below = np.zeros(counting.size - 1, dtype=np.intp)
+    for i in range(0, values.size, _COUNT_SLICE):
+        below += np.sort(values[i : i + _COUNT_SLICE]).searchsorted(counting[:-1], side="left")
+    return np.diff(below, append=values.size)
 
 
 def _log_edges(values: np.ndarray, bins: int, window: int, zero_floor: float) -> tuple:

@@ -33,11 +33,13 @@ _NEGATIVE_TOLERANCE = 1e-9
 _BLOCK_OUTPUTS = 1 << 13
 
 # A pass over several windows holds all their results at once. It takes
-# windows while their results hold at most this many times N variances,
-# as one window's result and its copy do, so a sweep's memory does not
-# grow with its number of windows; the default sweep grid's four windows
-# take two passes.
+# windows while their results hold at most the larger of this many times N
+# variances, as one window's result and its copy do, and _PASS_FLOOR
+# variances (4 MiB), so a long series' memory does not grow with its number
+# of windows and a default sweep cell (65,536 samples, windows 32 to 256,
+# 261,668 variances) takes one pass.
 _PASS_OUTPUTS = 2
+_PASS_FLOOR = 1 << 19
 
 
 def variance_array(values) -> np.ndarray:
@@ -87,10 +89,14 @@ def _window_means(values: np.ndarray, windows: list[int], means: list[np.ndarray
     window that has its bit while it is the current one. So each output is
     a summation tree over its own window only, whatever the other windows.
     A window's first set-bit level is written straight into its output:
-    divided by w at once if it is w's only bit, as at the default sweep's
-    windows, else copied, with the other levels added in order and the
-    sum divided by w after the last. The cost is N log2(max w) adds for
-    the levels and N per set bit of each window, plus N for its division.
+    scaled by 1 / w at once if it is w's only bit, as at the default
+    sweep's windows, else copied, with the other levels added in order and
+    the sum divided by w after the last. The cost is N log2(max w) adds
+    for the levels and N per set bit of each window, plus N for its
+    scaling. A power-of-two w = 2**k is multiplied by 2**-k rather than
+    divided by w: both round the exact x 2**-k correctly, subnormals
+    included, so the bits are the same, and a multiply costs about half
+    as much.
 
     The sum starts at its first level, not at 0.0 plus it. The two differ
     only where that level is -0.0, which 0.0 + -0.0 turns into +0.0, so a
@@ -105,7 +111,7 @@ def _window_means(values: np.ndarray, windows: list[int], means: list[np.ndarray
                 part = level[offsets[i] : offsets[i] + mean.size]
                 first, last = offsets[i] == 0, 2 * span > window
                 if first and last:
-                    np.divide(part, window, out=mean)
+                    np.multiply(part, 1.0 / window, out=mean)
                 elif first:
                     np.copyto(mean, part)
                 else:
@@ -179,11 +185,12 @@ def local_variance(series: TimeSeries, window: int) -> LocalVarianceSeries:
     This is the one-window case of ``_one_pass``, which gives a sweep
     cell's windows these bits from shared passes (``_local_variances``).
     The sweep scores each result and drops it, so it takes them without a
-    copy. A pass holds at most 2 N variances (16 bytes per sample) plus
-    one block of scratch per window: the default sweep grid's windows,
-    32 to 256, take two passes, and one of its cells (65,536 samples)
-    peaks at 1.3 MiB of traced allocations, about as much as one window
-    at a time.
+    copy. A pass holds at most the larger of 2 N variances (16 bytes per
+    sample) and 2**19 (4 MiB), plus one block of scratch per window: the
+    default sweep grid's windows, 32 to 256, take one pass, which builds
+    each block's doubling levels once for all four, and one of its cells
+    (65,536 samples) peaks at 2.45 MiB of traced allocations as it scores
+    its series.
     """
     samples = series.samples
     [estimate] = _one_pass(samples, [_checked_window(window, samples.size)], copy=True)
@@ -203,8 +210,9 @@ def _local_variances(series: TimeSeries, windows) -> Iterator[LocalVarianceSerie
     order, each holding its result without a copy.
 
     The windows are computed in passes. Each pass takes the next windows,
-    in order, while their results hold at most ``_PASS_OUTPUTS`` times N
-    variances (and at least one window), and holds only its own results
+    in order, while their results hold at most the larger of
+    ``_PASS_OUTPUTS`` times N and ``_PASS_FLOOR`` variances (and at least
+    one window), and holds only its own results
     until they are yielded. The windows are checked first, in order: the
     first one that is out of range raises as ``local_variance`` would, and
     so does the first whose sums overflow.
@@ -212,9 +220,10 @@ def _local_variances(series: TimeSeries, windows) -> Iterator[LocalVarianceSerie
     samples = series.samples
     n = samples.size
     windows = [_checked_window(window, n) for window in windows]
+    limit = max(_PASS_OUTPUTS * n, _PASS_FLOOR)
     passes, outputs = [[]], 0
     for window in windows:
-        if passes[-1] and outputs + n - window + 1 > _PASS_OUTPUTS * n:
+        if passes[-1] and outputs + n - window + 1 > limit:
             passes.append([])
             outputs = 0
         passes[-1].append(window)

@@ -3,10 +3,11 @@
 Each grid is a set, stored as a sorted tuple of distinct ints. A sweep
 is three steps. Each (k, seed) cell generates one series, whose random
 stream depends only on (seed, k), and scores it at all its windows:
-the windows share the variance kernel's blocked passes, two windows of
-a long series to a pass, and each window's histogram and ``scores``
-give its H_B, H_H and Bhattacharyya distance rows. Each cell equals
-what ``measure`` (or ``analyze``) gives the same series at that window.
+the windows share the variance kernel's blocked passes (one pass for
+the default grid's four windows), and each window's histogram and
+``scores`` give its H_B, H_H and Bhattacharyya distance rows. Each cell
+equals what ``measure`` (or ``analyze``) gives the same series at that
+window.
 Last, the rows are sorted by (k, window, seed, metric) and aggregated
 per (window, metric), so reports are byte-identical at any number of
 workers and whatever the order or repeats of a grid.

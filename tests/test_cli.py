@@ -2,6 +2,7 @@
 
 import dataclasses
 import errno
+import io
 import math
 import os
 import re
@@ -362,6 +363,34 @@ class TestAnalyze:
         )
         assert code == 2
         assert "error: io:" in err
+
+    SERIES = b"value\n" + b"".join(b"%d\n" % (i * i % 7) for i in range(40))
+
+    @staticmethod
+    def refuse_read(source):
+        raise AssertionError("the input was read")
+
+    @pytest.mark.parametrize("emit", ["s.csv", "./s.csv", "link.csv"], ids=["same", "dot-slash", "symlink"])
+    def test_a_histogram_path_naming_the_input_is_refused(self, tmp_path, capsys, monkeypatch, emit):
+        """The histogram would replace the series; the refusal names both
+        paths as given, reads nothing and writes nothing."""
+        monkeypatch.chdir(tmp_path)
+        Path("s.csv").write_bytes(self.SERIES)
+        Path("link.csv").symlink_to("s.csv")
+        monkeypatch.setattr(cli_module, "read_csv", self.refuse_read)
+        message = f"error: usage: --input 's.csv' and --emit-distribution {emit!r} name the same file\n"
+        argv = ("analyze", "--input", "s.csv", "--window", "4", "--emit-distribution", emit)
+        assert run_cli(capsys, *argv) == (1, "", message)
+        assert Path("s.csv").read_bytes() == self.SERIES
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "s.csv"]
+
+    def test_standard_input_is_not_compared_with_the_histogram_path(self, tmp_path, capsys, monkeypatch):
+        """``--input -`` names no file, so a histogram file named ``-`` is written."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(self.SERIES)))
+        code, out, _ = run_cli(capsys, "analyze", "--input", "-", "--window", "4", "--emit-distribution", "-")
+        assert (code, out.split("\n")[0]) == (0, "variant,score,window,bins,n_variances")
+        assert Path("-").read_bytes().startswith(b"bin_midpoint,mass\n")
 
     def test_sparse_histogram_warning(self, tmp_path, capsys):
         target = tmp_path / "short.csv"

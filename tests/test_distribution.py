@@ -21,7 +21,7 @@ from hetquant import (
 )
 from hetquant import series as series_module
 from hetquant.distribution import _COUNT_SLICE as COUNT_SLICE
-from hetquant.distribution import _log_edges
+from hetquant.distribution import _bin_counts, _log_edges
 
 
 class TestEstimatePdf:
@@ -42,6 +42,36 @@ class TestEstimatePdf:
         counts = np.zeros(64)
         counts[: whole.size] = whole
         assert np.array_equal(dist.masses, counts / counts.sum())
+
+    @staticmethod
+    def counting_edges(values, binning):
+        """The edges that estimate_pdf counts ``values`` against, in 8 bins
+        (log: at w = 16 and a zero floor of 1e-3; linear: over [0, 1] when
+        every value is 0)."""
+        if binning == "log":
+            return _log_edges(values, 8, 16, 1e-3)[1]
+        return np.linspace(0.0, values.max() or 1.0, 9)
+
+    @pytest.mark.parametrize("binning", ["linear", "log"])
+    @pytest.mark.parametrize(
+        "n", [1, COUNT_SLICE - 1, COUNT_SLICE, COUNT_SLICE + 1, 3 * COUNT_SLICE + 7]
+    )
+    def test_counts_are_np_histogram_with_values_on_the_edges(self, n, binning):
+        """Zero, the zero floor, every finite counting edge and the top sit
+        among the values at random places, so across the slices; the counts
+        and the masses have np.histogram's bits."""
+        rng = np.random.default_rng(n)
+        values = rng.lognormal(0.0, 2.0, n)
+        counting = self.counting_edges(values, binning)
+        on_edges = np.concatenate(([0.0, 1e-3], counting[np.isfinite(counting)], [values.max()]))[:n]
+        values[rng.choice(n, on_edges.size, replace=False)] = on_edges
+        assert _bin_counts(values, counting).tobytes() == np.histogram(values, bins=counting)[0].tobytes()
+
+        dist = estimate_pdf(LocalVarianceSeries(values, window=16, zero_floor=1e-3), 8, binning)
+        whole = np.histogram(values, bins=self.counting_edges(values, binning))[0]
+        counts = np.zeros(8)
+        counts[: whole.size] = whole
+        assert dist.masses.tobytes() == (counts / counts.sum()).tobytes()
 
     def test_hand_binned_example(self):
         dist = estimate_pdf(np.array([0.5, 1.5, 2.5, 3.5]), bins=4)

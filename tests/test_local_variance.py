@@ -1,5 +1,6 @@
 """Box-filter variance against a naive two-pass oracle, plus LTI properties."""
 
+import importlib
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -18,7 +19,10 @@ from hetquant import (
     local_variance,
 )
 from hetquant.local_variance import _BLOCK_OUTPUTS as BLOCK
-from hetquant.local_variance import _local_variances, _one_pass
+from hetquant.local_variance import _local_variances, _one_pass, _window_means
+
+# The package's local_variance function hides the module of that name.
+local_variance_module = importlib.import_module("hetquant.local_variance")
 
 
 def two_pass_variance(samples: np.ndarray, window: int) -> np.ndarray:
@@ -250,6 +254,38 @@ class TestWindowSets:
         assert str(together.value) == str(alone.value)
 
 
+class TestPowerOfTwoScaling:
+    """A power-of-two window's means are its one doubling level times 1 / w,
+    which must give the bits of that level divided by w, near the subnormal
+    range and far above 1 alike."""
+
+    SCALES = [2.0**-1000, 2.0**-1016, 2.0**-1040, 2.0**500]
+    IDS = ["2^-1000", "2^-1016", "2^-1040", "2^500"]
+    WINDOWS = [2, 32, 256, 1024]
+
+    @pytest.mark.parametrize("scale", SCALES, ids=IDS)
+    def test_means_are_the_level_divided_by_the_window(self, scale):
+        samples = np.random.default_rng(5).standard_normal(3000) * scale
+        means = [np.empty(samples.size - window + 1) for window in self.WINDOWS]
+        _window_means(samples, self.WINDOWS, means)
+        for window, mean in zip(self.WINDOWS, means):
+            assert mean.tobytes() == (doubling_sums(samples, window) / window).tobytes(), window
+        if scale == 2.0**-1016:
+            tiny = np.finfo(np.float64).tiny
+            assert any(((mean != 0) & (abs(mean) < tiny)).any() for mean in means)
+
+    @pytest.mark.parametrize("scale", SCALES, ids=IDS)
+    def test_variances_have_the_unblocked_bits(self, scale):
+        samples = np.random.default_rng(6).standard_normal(BLOCK + 3000) * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results = list(_local_variances(TimeSeries(samples), self.WINDOWS))
+        for window, result in zip(self.WINDOWS, results):
+            variances, zero_floor = unblocked_variance(samples, window)
+            assert result.variances.tobytes() == variances.tobytes(), window
+            assert result.zero_floor == zero_floor, window
+
+
 class TestClamp:
     """Rounding can leave a window's variance below zero; the kernel clamps
     only the blocks that hold such a value, and every block keeps the bits
@@ -377,6 +413,28 @@ class TestMemory:
                 assert next(results).window == window
 
         assert self.traced_peak(consume) < 20 * n
+
+    @pytest.mark.parametrize(
+        "n, windows, passes",
+        [
+            # Below 2**18 samples, the 2**19 floor is the larger limit (a
+            # default sweep cell: tests/test_sweep.py); from 2**18, 2 N.
+            (1 << 17, (2, 3, 4, 5, 6), [[2, 3, 4, 5], [6]]),
+            (1 << 18, (32, 64, 128, 256), [[32, 64], [128, 256]]),
+        ],
+        ids=["2^17", "2^18"],
+    )
+    def test_passes_hold_the_larger_of_two_results_and_the_floor(self, monkeypatch, n, windows, passes):
+        seen = []
+
+        def spy(samples, group, *, copy):
+            seen.append(list(group))
+            return _one_pass(samples, group, copy=copy)
+
+        monkeypatch.setattr(local_variance_module, "_one_pass", spy)
+        series = TimeSeries(np.random.default_rng(n).normal(0, 1, n))
+        assert [result.window for result in _local_variances(series, windows)] == list(windows)
+        assert seen == passes
 
 
 class TestZeroFloor:

@@ -92,7 +92,42 @@ class TestSigmaGrid:
         np.testing.assert_allclose(grid[[0, -1]], [0.125, 8.0], rtol=1e-12)
 
 
+def per_segment_series(config: SegmentedGeneratorConfig) -> np.ndarray:
+    """The series drawn segment by segment, each with ``rng.normal(0.0,
+    sigma, length)`` from the generator's seeded stream."""
+    rng = np.random.default_rng(np.random.SeedSequence([config.seed, config.num_sigmas]))
+    sigmas = sigma_values(config)
+    if config.shuffle_segments:
+        sigmas = rng.permutation(sigmas)
+    lengths = segment_lengths(config.total_samples, config.num_sigmas)
+    return np.concatenate([rng.normal(0.0, sigma, length) for sigma, length in zip(sigmas, lengths)])
+
+
 class TestGenerator:
+    @pytest.mark.parametrize("shuffle", [False, True], ids=["ordered", "shuffled"])
+    @pytest.mark.parametrize("spacing", SPACINGS)
+    @pytest.mark.parametrize("num_sigmas", [1, 3, 7, 64])
+    def test_bits_are_those_of_per_segment_normal_draws(self, num_sigmas, spacing, shuffle):
+        """The generator's bits against a reference that draws each segment
+        with ``rng.normal``; 1,000 rows split into uneven segments for k = 3,
+        7 and 64."""
+        config = SegmentedGeneratorConfig(
+            total_samples=1000, num_sigmas=num_sigmas, spacing=spacing,
+            shuffle_segments=shuffle, seed=num_sigmas,
+        )
+        assert generate_segmented(config).samples.tobytes() == per_segment_series(config).tobytes()
+
+    def test_products_that_round_to_zero_are_positive_zeros(self):
+        """Sigmas of a few subnormal steps round many sigma * z to a zero,
+        which rng.normal returns as 0.0 + (-0.0) = +0.0 where z < 0."""
+        config = SegmentedGeneratorConfig(
+            total_samples=1000, num_sigmas=3, sigma_min=5e-324, sigma_max=2e-323, seed=4
+        )
+        reference = per_segment_series(config)
+        zeros = reference == 0.0
+        assert zeros.any() and not np.signbit(reference[zeros]).any()
+        assert generate_segmented(config).samples.tobytes() == reference.tobytes()
+
     def test_identical_config_is_bit_identical(self):
         config = SegmentedGeneratorConfig(total_samples=2048, num_sigmas=8, seed=123)
         a = generate_segmented(config)

@@ -1,8 +1,13 @@
 """Sweep harness: cardinality, determinism, aggregates, rank correlation."""
 
 import concurrent.futures
+import hashlib
+import importlib
+import json
 import math
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +32,10 @@ from hetquant import (
     spearman,
 )
 from hetquant import series as series_module
-from hetquant.sweep import _average_ranks
+from hetquant.sweep import _average_ranks, _cell_rows
+
+# The committed output of tools/behaviour.py.
+MANIFEST = Path(__file__).resolve().parents[1] / "BEHAVIOUR.json"
 
 SMALL = SweepConfig(
     sigma_counts=(1, 4, 16),
@@ -146,7 +154,7 @@ class TestSweepRows:
                 (16, 32),
                 id="log-generator-fields",
             ),
-            # Windows whose set bits differ share the kernel's passes, two to a pass.
+            # Windows whose set bits differ share one pass of the kernel.
             pytest.param("log", {}, (3, 5, 100, 128), id="log-odd-windows"),
         ],
     )
@@ -183,6 +191,51 @@ class TestSweepRows:
                 h_b = report.scores(window, "H_B", seed)
                 distance = report.scores(window, "bhattacharyya_distance", seed)
                 assert np.argsort(h_b).tolist() == np.argsort(distance)[::-1].tolist()
+
+
+class TestDefaultGrid:
+    """The default grid, whose scores are the paper's result: its bytes, and
+    the kernel's work and memory in one of its cells."""
+
+    @pytest.mark.parametrize("binning", ["log", "linear"])
+    def test_report_and_summary_have_the_manifest_digests(self, binning):
+        [files] = [
+            entry["files"]
+            for entry in json.loads(MANIFEST.read_text())["invocations"]
+            if entry["argv"][:3] == ["sweep", "--binning", binning]
+        ]
+        report = run_sweep(SweepConfig(binning=binning))
+        assert {
+            f"sweep-{binning}.csv": hashlib.sha256(report.report_csv_bytes()).hexdigest(),
+            f"summary-{binning}.csv": hashlib.sha256(report.summary_csv_bytes()).hexdigest(),
+        } == files
+
+    def test_a_cell_is_one_kernel_pass(self, monkeypatch):
+        # The package's local_variance function hides the module of that name.
+        module = importlib.import_module("hetquant.local_variance")
+        passes = []
+
+        def spy(samples, windows, *, copy):
+            passes.append(list(windows))
+            return one_pass(samples, windows, copy=copy)
+
+        one_pass = module._one_pass
+        monkeypatch.setattr(module, "_one_pass", spy)
+        _cell_rows(SweepConfig(), (1, 8))
+        assert passes == [[32, 64, 128, 256]]
+
+    def test_a_cell_peaks_under_3_5_mib(self):
+        """2.95 MiB measured: the series, the four windows' variances and a
+        block of scratch each."""
+        config = SweepConfig()
+        _cell_rows(config, (1, 8))
+        tracemalloc.start()
+        try:
+            _cell_rows(config, (1, 8))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * 2**20
 
 
 class TestDeterminism:

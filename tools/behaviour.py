@@ -126,6 +126,7 @@ def invocations() -> list[tuple[list[str], str | None]]:
         (["sweep", *SWEEP_SMALL, "--out", "sweep-partial.csv", "--summary", "taken"], None),
         (["sweep", *SWEEP_SMALL, "--out", "taken", "--summary", "summary-partial.csv"], None),
         (["sweep", *SWEEP_SMALL, "--out", "sweep-same.csv", "--summary", "./sweep-same.csv"], None),
+        (["analyze", "--input", "linear.csv", "--emit-distribution", "./linear.csv"], None),
     ]
     # The two-column reader at sizes the runs above lack: a t,value file read
     # by path (in byte ranges) and from standard input, and a 4096-bin
