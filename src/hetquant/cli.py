@@ -4,11 +4,7 @@ Exit codes: 0 on success, 1 on any validation failure (bad flags, bad
 configs, malformed CSV), 2 on I/O failure. Errors print to standard error
 as ``error: <category>: <detail>``. Output files are written to a
 temporary sibling and renamed into place, so a failing run never leaves a
-partial file behind. ``sweep`` makes both of its temporary files before it
-runs the grid and renames them only after both are written, so it writes
-both of its files or neither; two paths that name one file are refused
-first. So are an ``analyze`` input path and histogram path that name one
-file, before the input is read.
+partial file behind.
 """
 
 from __future__ import annotations
@@ -55,94 +51,6 @@ def _int_list(text: str) -> tuple[int, ...]:
         return tuple(int(token) for token in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-
-
-def _add_binning_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--binning",
-        choices=BINNINGS,
-        default=MeasureConfig.binning,
-        help="histogram scale: log bins ln(variance) no narrower than the window's noise, linear splits [0, max]",
-    )
-
-
-def _add_generator_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--sigma-min", type=float, default=SegmentedGeneratorConfig.sigma_min, help="smallest segment standard deviation")
-    parser.add_argument("--sigma-max", type=float, default=SegmentedGeneratorConfig.sigma_max, help="largest segment standard deviation")
-    parser.add_argument("--spacing", choices=SPACINGS, default=SegmentedGeneratorConfig.spacing, help="sigma grid spacing")
-    parser.add_argument("--shuffle", dest="shuffle_segments", action="store_true", help="permute segment order with the seeded RNG")
-
-
-def _build_parser() -> _Parser:
-    parser = _Parser(
-        prog="hetquant",
-        description="Quantify heteroskedasticity of a time series via local-variance histograms and Bhattacharyya-family divergences.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    fmt = argparse.ArgumentDefaultsHelpFormatter
-
-    gen = sub.add_parser(
-        "generate",
-        help="write a seeded segmented-variance Gaussian series to CSV",
-        formatter_class=fmt,
-    )
-    gen.add_argument("--samples", dest="total_samples", metavar="SAMPLES", type=int, required=True, help="total number of samples")
-    gen.add_argument("--num-sigmas", type=int, default=SegmentedGeneratorConfig.num_sigmas, help="number of variance segments k")
-    _add_generator_flags(gen)
-    gen.add_argument("--seed", type=int, default=SegmentedGeneratorConfig.seed, help="64-bit RNG seed")
-    gen.add_argument("--out", required=True, help="output series CSV path")
-    gen.set_defaults(run=_cmd_generate)
-
-    ana = sub.add_parser(
-        "analyze",
-        help="score a series CSV and print variant,score,window,bins,n_variances",
-        formatter_class=fmt,
-    )
-    ana.add_argument("--input", required=True, help="input series CSV path, or - for standard input")
-    ana.add_argument("--window", type=int, default=MeasureConfig.window, help="sliding window width w")
-    ana.add_argument("--bins", type=int, default=MeasureConfig.bins, help="histogram bin count B")
-    ana.add_argument("--variant", choices=VARIANTS, default=MeasureConfig.variant, help="score variant")
-    _add_binning_flag(ana)
-    ana.add_argument(
-        "--emit-distribution",
-        metavar="PATH",
-        help="also write the variance histogram as bin_midpoint,mass CSV",
-    )
-    ana.set_defaults(run=_cmd_analyze)
-
-    div = sub.add_parser(
-        "divergence",
-        help="evaluate a divergence metric on distribution CSVs and print metric,value,alpha,log_base",
-        formatter_class=fmt,
-    )
-    div.add_argument("--p", required=True, help="first distribution CSV (bin_midpoint,mass)")
-    div.add_argument("--q", help="second distribution CSV; omit for entropy metrics")
-    div.add_argument("--metric", required=True, choices=sorted(METRICS), help="metric name")
-    div.add_argument("--alpha", type=float, help="order parameter for renyi, tsallis, renyi_entropy")
-    div.add_argument("--log-base", choices=LOG_BASES, default="natural", help="logarithm base for kl, renyi, and entropies")
-    div.set_defaults(run=_cmd_divergence)
-
-    swp = sub.add_parser(
-        "sweep",
-        help="run the (k, window, seed) grid and write k,window,seed,metric,score CSV",
-        formatter_class=fmt,
-    )
-    swp.add_argument("--sigma-counts", type=_int_list, default=SweepConfig.sigma_counts, help="comma-separated k values")
-    swp.add_argument("--windows", type=_int_list, default=SweepConfig.windows, help="comma-separated window widths")
-    swp.add_argument("--bins", type=int, default=SweepConfig.bins, help="histogram bin count B")
-    _add_binning_flag(swp)
-    swp.add_argument(
-        "--samples", dest="total_samples", metavar="SAMPLES", type=int,
-        default=SweepConfig.total_samples, help="samples per generated series",
-    )
-    swp.add_argument("--seeds", type=_int_list, default=SweepConfig.seeds, help="comma-separated RNG seeds")
-    _add_generator_flags(swp)
-    swp.add_argument("--workers", type=int, default=1, help="parallel worker processes")
-    swp.add_argument("--out", required=True, help="report CSV path")
-    swp.add_argument("--summary", metavar="PATH", help="also write window,metric,spearman,mean_score_k* CSV")
-    swp.set_defaults(run=_cmd_sweep)
-
-    return parser
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -208,6 +116,72 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if summary is not None:
             write_bytes(report.summary_csv_bytes(), summary)
     return 0
+
+
+# Flags that more than one subcommand takes: (flag, add_argument settings).
+_BINNING_FLAG = ("--binning", dict(
+    choices=BINNINGS,
+    default=MeasureConfig.binning,
+    help="histogram scale: log bins ln(variance) no narrower than the window's noise, linear splits [0, max]",
+))
+_GENERATOR_FLAGS = [
+    ("--sigma-min", dict(type=float, default=SegmentedGeneratorConfig.sigma_min, help="smallest segment standard deviation")),
+    ("--sigma-max", dict(type=float, default=SegmentedGeneratorConfig.sigma_max, help="largest segment standard deviation")),
+    ("--spacing", dict(choices=SPACINGS, default=SegmentedGeneratorConfig.spacing, help="sigma grid spacing")),
+    ("--shuffle", dict(dest="shuffle_segments", action="store_true", help="permute segment order with the seeded RNG")),
+]
+
+# subcommand -> (help, run, flags in --help order)
+_COMMANDS = {
+    "generate": ("write a seeded segmented-variance Gaussian series to CSV", _cmd_generate, [
+        ("--samples", dict(dest="total_samples", metavar="SAMPLES", type=int, required=True, help="total number of samples")),
+        ("--num-sigmas", dict(type=int, default=SegmentedGeneratorConfig.num_sigmas, help="number of variance segments k")),
+        *_GENERATOR_FLAGS,
+        ("--seed", dict(type=int, default=SegmentedGeneratorConfig.seed, help="64-bit RNG seed")),
+        ("--out", dict(required=True, help="output series CSV path")),
+    ]),
+    "analyze": ("score a series CSV and print variant,score,window,bins,n_variances", _cmd_analyze, [
+        ("--input", dict(required=True, help="input series CSV path, or - for standard input")),
+        ("--window", dict(type=int, default=MeasureConfig.window, help="sliding window width w")),
+        ("--bins", dict(type=int, default=MeasureConfig.bins, help="histogram bin count B")),
+        ("--variant", dict(choices=VARIANTS, default=MeasureConfig.variant, help="score variant")),
+        _BINNING_FLAG,
+        ("--emit-distribution", dict(metavar="PATH", help="also write the variance histogram as bin_midpoint,mass CSV")),
+    ]),
+    "divergence": ("evaluate a divergence metric on distribution CSVs and print metric,value,alpha,log_base", _cmd_divergence, [
+        ("--p", dict(required=True, help="first distribution CSV (bin_midpoint,mass)")),
+        ("--q", dict(help="second distribution CSV; omit for entropy metrics")),
+        ("--metric", dict(required=True, choices=sorted(METRICS), help="metric name")),
+        ("--alpha", dict(type=float, help="order parameter for renyi, tsallis, renyi_entropy")),
+        ("--log-base", dict(choices=LOG_BASES, default="natural", help="logarithm base for kl, renyi, and entropies")),
+    ]),
+    "sweep": ("run the (k, window, seed) grid and write k,window,seed,metric,score CSV", _cmd_sweep, [
+        ("--sigma-counts", dict(type=_int_list, default=SweepConfig.sigma_counts, help="comma-separated k values")),
+        ("--windows", dict(type=_int_list, default=SweepConfig.windows, help="comma-separated window widths")),
+        ("--bins", dict(type=int, default=SweepConfig.bins, help="histogram bin count B")),
+        _BINNING_FLAG,
+        ("--samples", dict(dest="total_samples", metavar="SAMPLES", type=int, default=SweepConfig.total_samples, help="samples per generated series")),
+        ("--seeds", dict(type=_int_list, default=SweepConfig.seeds, help="comma-separated RNG seeds")),
+        *_GENERATOR_FLAGS,
+        ("--workers", dict(type=int, default=1, help="parallel worker processes")),
+        ("--out", dict(required=True, help="report CSV path")),
+        ("--summary", dict(metavar="PATH", help="also write window,metric,spearman,mean_score_k* CSV")),
+    ]),
+}
+
+
+def _build_parser() -> _Parser:
+    parser = _Parser(
+        prog="hetquant",
+        description="Quantify heteroskedasticity of a time series via local-variance histograms and Bhattacharyya-family divergences.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    for name, (help_text, run, flags) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        for flag, settings in flags:
+            command.add_argument(flag, **settings)
+        command.set_defaults(run=run)
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,11 +1,10 @@
 """Normalized histograms over variance space and the uniform reference.
 
-Two binnings are offered. ``"linear"`` splits [0, max(variances)] into
-equal-width bins, anchored at zero to match the idealized uniform-over-
-[0, inf) reference. ``"log"`` splits ln(variance) into equal-width bins no
-narrower than the sampling spread of a window's log variance, so one noise
-level fills about one bin whatever its scale; its edges are in ln-variance
-units. Either way the reference is a discrete uniform on the same bins.
+Two binnings are offered (see ``estimate_pdf``): ``"linear"`` splits
+[0, max(variances)], anchored at zero to match the idealized
+uniform-over-[0, inf) reference, and ``"log"`` splits ln(variance) so that
+one noise level fills about one bin whatever its scale. Either way the
+reference is a discrete uniform on the same bins.
 """
 
 from __future__ import annotations
@@ -186,11 +185,11 @@ def write_distribution_csv(dist: ProbabilityDistribution, sink) -> None:
 def read_distribution_csv(source) -> ProbabilityDistribution:
     """Parse a ``bin_midpoint,mass`` CSV back into a distribution.
 
-    Edges are reconstructed between consecutive midpoints. A single-bin
-    file gets the narrowest bin around its midpoint, one ``np.spacing`` to
-    either side, whose midpoint is the file's to the bit. Where two edges
-    sum past the largest float, their midpoint is taken as the sum of their
-    halves; an outer edge that overflows is rejected. Masses must sum to 1.
+    Edges are reconstructed halfway between consecutive midpoints (see
+    ``_halfway``). A single-bin file gets the narrowest bin around its
+    midpoint, one ``np.spacing`` to either side, whose midpoint is the
+    file's to the bit. An outer edge that overflows is rejected. Masses
+    must sum to 1.
     """
     mids, masses = read_table(source, ("bin_midpoint,mass",))
     # Near the largest floats a difference or edge overflows to inf; the

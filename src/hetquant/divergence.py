@@ -89,14 +89,19 @@ def _power_sum(p: np.ndarray, q: np.ndarray, alpha: float) -> float:
     return total
 
 
+def _coefficient(pm: np.ndarray, qm) -> float:
+    """Sum of sqrt(pm_i * qm_i), capped at 1; ``qm`` is an array of masses,
+    or the one mass of every bin."""
+    # Accumulated rounding can overshoot the exact upper bound by ~1e-16.
+    return min(float(np.sum(np.sqrt(pm * qm))), 1.0)
+
+
 def bhattacharyya_coefficient(
     p: ProbabilityDistribution, q: ProbabilityDistribution
 ) -> float:
     """Sum of sqrt(p_i * q_i): 1 iff the distributions coincide, 0 iff disjoint."""
     _check_pair(p, q)
-    value = float(np.sum(np.sqrt(p.masses * q.masses)))
-    # Accumulated rounding can overshoot the exact upper bound by ~1e-16.
-    return min(value, 1.0)
+    return _coefficient(p.masses, q.masses)
 
 
 def distance_from_coefficient(coefficient: float) -> float:

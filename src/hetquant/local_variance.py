@@ -26,18 +26,19 @@ __all__ = ["LocalVarianceSeries", "local_variance"]
 # numerical corruption rather than rounding.
 _NEGATIVE_TOLERANCE = 1e-9
 
-# Fewest outputs per block. A block's slices of 2**13 + w - 1 float64s stay
-# under glibc's default mmap threshold (128 KiB) up to w = 2**11, as
-# series._BLOCK_BYTES does; larger windows take 4 w outputs, so the w - 1
-# samples each block reads again cost at most a quarter more work.
+# Fewest outputs per block: a pass computes its outputs in blocks of
+# max(_BLOCK_OUTPUTS, 4 w) for its largest window w. Block [a, b) reads only
+# samples [a, b + w - 1), and each output is a summation tree over its own
+# window, so the bits do not depend on the block size. Slices of
+# 2**13 + w - 1 float64s stay under glibc's default mmap threshold (128 KiB)
+# up to w = 2**11; at larger windows, the w - 1 samples that each block reads
+# again cost at most a quarter more work.
 _BLOCK_OUTPUTS = 1 << 13
 
-# A pass over several windows holds all their results at once. It takes
-# windows while their results hold at most the larger of this many times N
-# variances, as one window's result and its copy do, and _PASS_FLOOR
-# variances (4 MiB), so a long series' memory does not grow with its number
-# of windows and a default sweep cell (65,536 samples, windows 32 to 256,
-# 261,668 variances) takes one pass.
+# A pass takes windows, at least one, while their results hold at most the
+# larger of _PASS_OUTPUTS times N variances, as one window's result and its
+# copy do, and _PASS_FLOOR variances (4 MiB). So a long series' memory does not
+# grow with its number of windows, and a default sweep cell takes one pass.
 _PASS_OUTPUTS = 2
 _PASS_FLOOR = 1 << 19
 
@@ -58,9 +59,7 @@ class LocalVarianceSeries:
 
     ``zero_floor`` is the level at or below which an estimate is rounding
     residue of the box filter rather than signal; 0 means every positive
-    estimate is signal. ``variances`` is copied unless it is a read-only
-    float64 array that owns its data, which is kept as it is (see
-    ``frozen_array``).
+    estimate is signal. ``variances`` is taken as ``frozen_array`` takes it.
     """
 
     variances: np.ndarray
@@ -88,19 +87,17 @@ def _window_means(values: np.ndarray, windows: list[int], means: list[np.ndarray
     are built once, up to the largest window, and each is taken by every
     window that has its bit while it is the current one. So each output is
     a summation tree over its own window only, whatever the other windows.
-    A window's first set-bit level is written straight into its output:
-    scaled by 1 / w at once if it is w's only bit, as at the default
-    sweep's windows, else copied, with the other levels added in order and
-    the sum divided by w after the last. The cost is N log2(max w) adds
-    for the levels and N per set bit of each window, plus N for its
-    scaling. A power-of-two w = 2**k is multiplied by 2**-k rather than
-    divided by w: both round the exact x 2**-k correctly, subnormals
-    included, so the bits are the same, and a multiply costs about half
-    as much.
+    A window's first set-bit level is written straight into its output,
+    the other levels are added in order, and the sum is divided by w after
+    the last. A power-of-two w = 2**k, whose only level is the first, is
+    multiplied by 2**-k instead: both round the exact x 2**-k correctly,
+    subnormals included, so the bits are the same, and a multiply costs
+    about half as much.
 
-    The sum starts at its first level, not at 0.0 plus it. The two differ
-    only where that level is -0.0, which 0.0 + -0.0 turns into +0.0, so a
-    sum can differ from the zero-based one only in the sign of a zero.
+    Starting from the first level rather than from 0.0 changes only the
+    sign of a zero sum of -0.0 samples (0.0 + -0.0 is +0.0). That sign
+    reaches only a mean that is then squared, and a sum of squares is
+    never -0.0, so every variance and zero floor keeps its bits.
     """
     offsets = [0] * len(windows)
     top = max(windows)
@@ -164,33 +161,9 @@ def local_variance(series: TimeSeries, window: int) -> LocalVarianceSeries:
     the centred samples as given: the rounding of subtracting the mean is
     not in it.
 
-    Outputs are computed in blocks of max(2**13, 4 w): block [a, b) reads
-    only samples [a, b + w - 1), and since each output is a summation tree
-    over its own window, the bits do not depend on the block size. Memory
-    is 16 bytes per sample (the result and its frozen copy; 17 at peak,
-    while the copy's one-byte finiteness mask is held) plus O(block + w)
-    scratch. The copy is made after the scratch is freed, so a result
-    that the caller keeps is not left among freed memory, which the
-    allocator can then hand back to the system. (Results kept without a
-    copy left the heap of perfbench's divergence-suite 3 MB larger.)
-
-    Per block, a window's means and mean squares start from their first
-    doubling level (see ``_window_means``), not from zeros, and the block
-    is clamped only when its smallest variance is not >= 0: six passes over
-    the block at a power-of-two w. Starting from the first level changes
-    only the sign of a zero sum of -0.0 samples (0.0 + -0.0 is +0.0). That
-    sign reaches only a mean that is then squared, and a sum of squares is
-    never -0.0, so every variance and zero floor keeps its bits.
-
-    This is the one-window case of ``_one_pass``, which gives a sweep
-    cell's windows these bits from shared passes (``_local_variances``).
-    The sweep scores each result and drops it, so it takes them without a
-    copy. A pass holds at most the larger of 2 N variances (16 bytes per
-    sample) and 2**19 (4 MiB), plus one block of scratch per window: the
-    default sweep grid's windows, 32 to 256, take one pass, which builds
-    each block's doubling levels once for all four, and one of its cells
-    (65,536 samples) peaks at 2.45 MiB of traced allocations as it scores
-    its series.
+    Memory is 16 bytes per sample, the result and its frozen copy (17 at
+    peak, while the copy's one-byte finiteness mask is held), plus
+    O(block + w) scratch, which is still held while the copy is made.
     """
     samples = series.samples
     [estimate] = _one_pass(samples, [_checked_window(window, samples.size)], copy=True)
@@ -209,13 +182,10 @@ def _local_variances(series: TimeSeries, windows) -> Iterator[LocalVarianceSerie
     """Yield ``local_variance(series, w)`` for each w of ``windows``, in
     order, each holding its result without a copy.
 
-    The windows are computed in passes. Each pass takes the next windows,
-    in order, while their results hold at most the larger of
-    ``_PASS_OUTPUTS`` times N and ``_PASS_FLOOR`` variances (and at least
-    one window), and holds only its own results
-    until they are yielded. The windows are checked first, in order: the
-    first one that is out of range raises as ``local_variance`` would, and
-    so does the first whose sums overflow.
+    The windows are computed in passes (see ``_PASS_OUTPUTS``), each of
+    which holds only its own results until they are yielded. The windows
+    are checked first, in order: the first one that is out of range raises
+    as ``local_variance`` would, and so does the first whose sums overflow.
     """
     samples = series.samples
     n = samples.size
@@ -237,14 +207,14 @@ def _local_variances(series: TimeSeries, windows) -> Iterator[LocalVarianceSerie
 
 
 def _one_pass(samples: np.ndarray, windows: list[int], *, copy: bool) -> list[LocalVarianceSeries]:
-    """``local_variance`` at each of ``windows`` from one blocked pass, whose
-    blocks hold max(2**13, 4 max(w)) outputs. Each block builds the doubling
-    levels of its centred samples once, up to the largest window, and every
-    window takes its means from them; the bits are those of one window
-    alone. Then each window squares its means, subtracts them from its mean
-    squares, takes the block's largest mean square and smallest variance,
-    and clamps the block only if that smallest value is not >= 0. With
-    ``copy`` false, each container takes its result without a copy.
+    """``local_variance`` at each of ``windows`` from one blocked pass (see
+    ``_BLOCK_OUTPUTS``). Each block builds the doubling levels of its
+    centred samples once, up to the largest window, and every window takes
+    its means from them; the bits are those of one window alone. Then each
+    window squares its means, subtracts them from its mean squares, takes
+    the block's largest mean square and smallest variance, and clamps the
+    block only if that smallest value is not >= 0. With ``copy`` false,
+    each container takes its result without a copy.
     """
     n = samples.size
     top = max(windows)
@@ -259,9 +229,8 @@ def _one_pass(samples: np.ndarray, windows: list[int], *, copy: bool) -> list[Lo
     with np.errstate(over="ignore", invalid="ignore"):
         center = samples.mean()
         for a in range(0, n - min(windows) + 1, block):
-            # Window w's outputs [a, a + block) read samples [a, a + block + w - 1),
-            # cut at the series' end: a prefix of x. A window whose outputs
-            # ended in an earlier block gets empty slices.
+            # Each window reads a prefix of x. One whose outputs ended in an
+            # earlier block gets empty slices.
             x = samples[a : a + block + top - 1] - center
             means = [result[a : a + block] for result in results]
             _window_means(x, windows, means)

@@ -13,12 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .distribution import BINNINGS, ProbabilityDistribution, estimate_pdf, uniform_reference
-from .divergence import (
-    affinity_from_coefficient,
-    bhattacharyya_coefficient,
-    distance_from_coefficient,
-)
+from .distribution import BINNINGS, ProbabilityDistribution, estimate_pdf
+from .divergence import _coefficient, affinity_from_coefficient, distance_from_coefficient
 from .errors import ConfigurationError, ParameterError
 from .local_variance import LocalVarianceSeries, _local_variances, local_variance
 from .series import TimeSeries, integer
@@ -78,8 +74,9 @@ class MeasureReport:
 
 def score_distribution(p: ProbabilityDistribution) -> tuple[float, float, float]:
     """H_B, H_H and the Bhattacharyya distance of ``p`` against its uniform
-    reference, all from one Bhattacharyya coefficient."""
-    coefficient = bhattacharyya_coefficient(p, uniform_reference(p))
+    reference, all from one Bhattacharyya coefficient. The reference's
+    masses are all 1 / B, so they are not built."""
+    coefficient = _coefficient(p.masses, 1.0 / p.bins)
     return (
         coefficient,
         affinity_from_coefficient(coefficient),
@@ -107,9 +104,8 @@ def measure(series: TimeSeries, config: MeasureConfig = MeasureConfig()) -> Meas
 
 
 def _measure_windows(series: TimeSeries, configs) -> list[MeasureReport]:
-    """``measure(series, config)`` for each of ``configs``, in order. The
-    windows share the kernel's passes (see ``_local_variances``), and each
-    window's variances are freed once its histogram is taken."""
+    """``measure(series, config)`` for each of ``configs``, in order, from
+    the kernel's shared passes (see ``_local_variances``)."""
     for config in configs:
         _check_length(series, config.window)
     variances = _local_variances(series, [config.window for config in configs])

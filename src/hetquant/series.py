@@ -103,9 +103,8 @@ class TimeSeries:
 
     ``times`` holds the optional timestamp column of a two-column CSV; it is
     carried through round trips but ignored by every analysis. Equality
-    compares sample (and timestamp) values. Each column is copied unless it
-    is a read-only float64 array that owns its data, which is kept as it is
-    (see ``frozen_array``).
+    compares sample (and timestamp) values. Each column is taken as
+    ``frozen_array`` takes it.
     """
 
     samples: np.ndarray
@@ -335,16 +334,12 @@ def ordered_map(fn: Callable, items: list, workers: int) -> Iterator:
         yield from pool.map(fn, items)
 
 
-# Below glibc's default mmap threshold (128 KiB): asking for 1 MiB to read a
-# small file raised the peak RSS of a process that reads many such files by
-# about 1 MB, and larger blocks parse no faster.
+# Below glibc's default mmap threshold (128 KiB), so that reading many small
+# files does not raise the peak RSS; larger blocks parse no faster.
 _BLOCK_BYTES = 1 << 16
 _FORMAT_ROWS = 1 << 16
-# Bytes of data rows per range that a worker process parses. A file of less
-# than two ranges is read in this process, where starting a pool would cost
-# more than the other CPUs save. Ranges of this size, many per worker, parsed
-# a 20 MB file faster than one range per CPU: a worker that finishes early
-# takes the next range.
+# Bytes of data rows per range that a worker parses: many ranges per worker
+# rather than one per CPU, so that a worker that finishes early takes the next.
 _RANGE_BYTES = 1 << 20
 
 
@@ -399,19 +394,16 @@ def _next_cut(handle, position: int) -> int:
 
 def _ranges(path, handle, start: int) -> list[tuple]:
     """The byte ranges ``(path, opened, start, end)`` of the rows that the
-    file ``handle`` opened from ``path`` holds from ``start`` on, each to be
-    parsed from the file opened again by the resolved path; ``opened`` is
-    the file's ``os.stat``. ``[]`` when this process must read the input
-    through ``handle``: a stream (``path`` None), a file that is not
-    regular, a path that no longer names the open file, or less than two
-    ``_RANGE_BYTES`` of rows.
+    file ``handle`` opened from ``path`` holds from ``start`` on, as
+    ``read_table`` splits them, or ``[]`` when this process must read the
+    input through ``handle``; ``opened`` is the file's ``os.stat``.
 
     The path is resolved, so that ``/dev/stdin`` redirected from a file
-    names that file rather than a worker's own standard input. The ranges
-    hold about ``_RANGE_BYTES`` each, cut where ``_next_cut`` finds the end
-    of a line. A nominal cut that the line before it has already passed
-    is skipped, and cutting stops at the end of the file, so a long line is
-    scanned once however many nominal cuts it spans.
+    names that file rather than a worker's own standard input. Each cut is
+    where ``_next_cut`` finds the end of a line. A nominal cut that the
+    line before it has already passed is skipped, and cutting stops at the
+    end of the file, so a long line is scanned once however many nominal
+    cuts it spans.
     """
     if path is None:
         return []
@@ -532,17 +524,17 @@ def read_table(source, headers: tuple[str, ...]) -> list[np.ndarray]:
 
     After a bad header the rest of the input is only decoded, here, to
     find invalid UTF-8. Otherwise a regular file with at least two
-    ``_RANGE_BYTES`` (1 MiB) of data rows is always split at line ends into
-    ranges of about that size (see ``_ranges``), whatever the CPU count.
-    Each range is parsed from the file opened again by path, which must
-    still be the file read here, else ``OSError``: in a pool of one
-    process per usable CPU, or in this process where only one CPU is
-    usable. Anything else, a stream or a pipe included, is parsed in one
-    pass in this process. Either way the input is read in blocks of about
-    64 KiB, and the values, errors and precedence are the same: invalid
-    UTF-8 anywhere, reported at its first position, then a bad header,
-    then the first bad row. Parsing holds the parsed values twice, 16
-    bytes per value, while it joins them.
+    ``_RANGE_BYTES`` (2 MiB) of data rows is always split at line ends into
+    ranges of about 1 MiB, whatever the CPU count; for a smaller file,
+    starting a pool would cost more than the other CPUs save. Each range is
+    parsed from the file opened again by path, which must still be the file
+    read here, else ``OSError``: in a pool of one process per usable CPU,
+    or in this process where only one CPU is usable. Anything else, a
+    stream or a pipe included, is parsed in one pass in this process.
+    Either way the input is read in blocks of about 64 KiB, and the values,
+    errors and precedence are the same: invalid UTF-8 anywhere, reported at
+    its first position, then a bad header, then the first bad row. Parsing
+    holds the parsed values twice, 16 bytes per value, while it joins them.
     """
     path = source if isinstance(source, (str, os.PathLike)) else None
     with open(path, "rb") if path is not None else contextlib.nullcontext(source) as handle:
@@ -583,17 +575,12 @@ def read_table(source, headers: tuple[str, ...]) -> list[np.ndarray]:
 
 
 def read_csv(source) -> TimeSeries:
-    """Parse a series from a CSV byte stream or path.
+    """Parse a series from a CSV byte stream or path, as ``read_table``
+    parses it.
 
-    The first line must be the header ``value`` or ``t,value``. Every data
-    row must hold finite numbers; errors name the offending data row
-    (1-based, header excluded). A regular file with that header and 2 MiB
-    or more of rows is always split into byte ranges, parsed on every
-    usable CPU (in this process on one); a stream or a smaller file is
-    parsed in one pass in this process. Both read blocks of about 64 KiB
-    and give the same bits and the same messages. The series holds 8 bytes per row (16 with
-    ``t``) and takes the parsed columns without a copy; parsing holds
-    twice that while it joins them.
+    The first line must be the header ``value`` or ``t,value``. The series
+    holds 8 bytes per row (16 with ``t``) and takes the parsed columns
+    without a copy.
     """
     columns = read_table(source, ("value", "t,value"))
     if len(columns) == 2:
@@ -608,10 +595,8 @@ def csv_chunks(header: str, *columns) -> Iterator[bytes]:
     A column is a numpy array or a sequence of Python numbers or strings.
     A number is written as ``format_float`` writes it: ``repr``, without a
     trailing ``.0``; a string is written as is and must not end in ``.0``.
-    Rows are formatted in blocks of ``_FORMAT_ROWS``. When there are two
-    blocks or more and this process may use more than one CPU, the blocks
-    are formatted in a process pool, one worker per usable CPU, and still
-    yielded in order. No columns give the header line alone.
+    Rows are formatted in blocks of ``_FORMAT_ROWS``, by ``ordered_map`` on
+    the usable CPUs. No columns give the header line alone.
     """
     yield header.encode("utf-8") + b"\n"
     rows = len(columns[0]) if columns else 0

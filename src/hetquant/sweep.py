@@ -1,16 +1,14 @@
 """Grid sweeps of the heteroskedasticity score over k, window, and seed.
 
-Each grid is a set, stored as a sorted tuple of distinct ints. A sweep
-is three steps. Each (k, seed) cell generates one series, whose random
-stream depends only on (seed, k), and scores it at all its windows:
-the windows share the variance kernel's blocked passes (one pass for
-the default grid's four windows), and each window's histogram and
-``scores`` give its H_B, H_H and Bhattacharyya distance rows. Each cell
-equals what ``measure`` (or ``analyze``) gives the same series at that
-window.
-Last, the rows are sorted by (k, window, seed, metric) and aggregated
-per (window, metric), so reports are byte-identical at any number of
-workers and whatever the order or repeats of a grid.
+Each grid is a set, stored as a sorted tuple of distinct ints. Each
+(k, seed) cell generates one series, whose random stream depends only on
+(seed, k), and scores it at all its windows, which share the variance
+kernel's passes. Each window's ``scores`` give its H_B, H_H and
+Bhattacharyya distance rows, as ``measure`` (or ``analyze``) scores the
+same series at that window. The rows are then sorted by (k, window, seed,
+metric) and aggregated per (window, metric), so reports are
+byte-identical at any number of workers and whatever the order or
+repeats of a grid.
 """
 
 from __future__ import annotations
@@ -144,9 +142,7 @@ class SummaryRow(NamedTuple):
 
 
 def _cell_rows(config: SweepConfig, cell: tuple[int, int]) -> list[SweepRow]:
-    """Score the series of one (seed, k) cell under every window of the sweep,
-    whose variances come from the kernel's shared passes; each window's rows
-    hold the ``scores`` that ``measure`` gives the series at that window."""
+    """Score the series of one (seed, k) cell under every window of the sweep."""
     seed, k = cell
     series = generate_segmented(config._generator_config(k, seed))
     reports = _measure_windows(series, [config._measure_config(w) for w in config.windows])
@@ -162,8 +158,7 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> "SweepReport":
 
     ``workers`` > 1 distributes cells over a process pool of at most one
     worker per (k, seed) cell; the result is byte-identical to the
-    sequential run because each cell derives its own random stream and
-    rows are sorted afterwards.
+    sequential run.
     """
     workers = integer(workers, "workers", 1, ParameterError)
     cells = [(seed, k) for seed in config.seeds for k in config.sigma_counts]

@@ -1,5 +1,6 @@
 """The composed score: closed-form extremes, transform consistency, pipeline."""
 
+import itertools
 import math
 
 import numpy as np
@@ -101,18 +102,23 @@ class TestPipeline:
 
     @pytest.mark.parametrize("binning", ["log", "linear"])
     def test_scores_are_the_three_metrics_of_the_distribution(self, binning):
-        series = generate_segmented(
-            SegmentedGeneratorConfig(total_samples=1000, num_sigmas=4, seed=2)
-        )
-        report = measure(series, MeasureConfig(window=32, bins=16, binning=binning))
-        p = report.distribution
-        q = uniform_reference(p)
+        # The scores take the reference's masses as the one value 1 / B, not
+        # as a built uniform_reference; the bits must be the same.
         assert METRIC_ORDER == ("H_B", "H_H", "bhattacharyya_distance")
-        assert report.scores == (
-            bhattacharyya_coefficient(p, q),
-            hellinger_affinity(p, q),
-            bhattacharyya_distance(p, q),
-        )
+        grid = itertools.product((1, 2), (1, 4, 7, 64), (8, 32, 128), (2, 7, 16, 64, 300))
+        for seed, k, window, bins in grid:
+            series = generate_segmented(
+                SegmentedGeneratorConfig(total_samples=1000, num_sigmas=k, seed=seed)
+            )
+            report = measure(series, MeasureConfig(window=window, bins=bins, binning=binning))
+            p = report.distribution
+            q = uniform_reference(p)
+            expected = (
+                bhattacharyya_coefficient(p, q),
+                hellinger_affinity(p, q),
+                bhattacharyya_distance(p, q),
+            )
+            assert np.array(report.scores).tobytes() == np.array(expected).tobytes()
 
     @pytest.mark.parametrize("variant, index", [("bhattacharyya", 0), ("hellinger", 1)])
     def test_score_is_the_variants_entry_of_scores(self, variant, index):
