@@ -36,9 +36,9 @@ _NEGATIVE_TOLERANCE = 1e-9
 _BLOCK_OUTPUTS = 1 << 13
 
 # A pass takes windows, at least one, while their results hold at most the
-# larger of _PASS_OUTPUTS times N variances, as one window's result and its
-# copy do, and _PASS_FLOOR variances (4 MiB). So a long series' memory does not
-# grow with its number of windows, and a default sweep cell takes one pass.
+# larger of _PASS_OUTPUTS times N variances and _PASS_FLOOR variances (4 MiB).
+# So a long series' memory does not grow with its number of windows, and a
+# default sweep cell takes one pass.
 _PASS_OUTPUTS = 2
 _PASS_FLOOR = 1 << 19
 
@@ -161,60 +161,51 @@ def local_variance(series: TimeSeries, window: int) -> LocalVarianceSeries:
     the centred samples as given: the rounding of subtracting the mean is
     not in it.
 
-    Memory is 16 bytes per sample, the result and its frozen copy (17 at
-    peak, while the copy's one-byte finiteness mask is held), plus
-    O(block + w) scratch, which is still held while the copy is made.
+    Memory is 8 bytes per sample, the result, which its container takes
+    without a copy (9 at peak, while the one-byte finiteness mask is held),
+    plus O(block + w) scratch.
     """
-    samples = series.samples
-    [estimate] = _one_pass(samples, [_checked_window(window, samples.size)], copy=True)
-    return estimate
-
-
-def _checked_window(window, n: int) -> int:
-    """``window`` as an int from 2 to the series length ``n``."""
-    window = integer(window, "window", 2, ParameterError)
-    if window > n:
-        raise ParameterError(f"window ({window}) exceeds series length ({n})")
-    return window
+    return next(_local_variances(series, [window]))
 
 
 def _local_variances(series: TimeSeries, windows) -> Iterator[LocalVarianceSeries]:
-    """Yield ``local_variance(series, w)`` for each w of ``windows``, in
-    order, each holding its result without a copy.
+    """Yield ``local_variance(series, w)`` for each w of ``windows``, in order.
 
     The windows are computed in passes (see ``_PASS_OUTPUTS``), each of
-    which holds only its own results until they are yielded. The windows
-    are checked first, in order: the first one that is out of range raises
-    as ``local_variance`` would, and so does the first whose sums overflow.
+    which holds only its own results until they are yielded. The first
+    window out of range raises before any pass, and the first whose sums
+    overflow raises once its pass is done.
     """
     samples = series.samples
     n = samples.size
-    windows = [_checked_window(window, n) for window in windows]
     limit = max(_PASS_OUTPUTS * n, _PASS_FLOOR)
     passes, outputs = [[]], 0
     for window in windows:
+        window = integer(window, "window", 2, ParameterError)
+        if window > n:
+            raise ParameterError(f"window ({window}) exceeds series length ({n})")
         if passes[-1] and outputs + n - window + 1 > limit:
             passes.append([])
             outputs = 0
         passes[-1].append(window)
         outputs += n - window + 1
     for group in passes:
-        results = _one_pass(samples, group, copy=False)
+        results = _one_pass(samples, group)
         results.reverse()
         # Yielded one at a time, so the caller can free each when done.
         while results:
             yield results.pop()
 
 
-def _one_pass(samples: np.ndarray, windows: list[int], *, copy: bool) -> list[LocalVarianceSeries]:
+def _one_pass(samples: np.ndarray, windows: list[int]) -> list[LocalVarianceSeries]:
     """``local_variance`` at each of ``windows`` from one blocked pass (see
     ``_BLOCK_OUTPUTS``). Each block builds the doubling levels of its
     centred samples once, up to the largest window, and every window takes
     its means from them; the bits are those of one window alone. Then each
     window squares its means, subtracts them from its mean squares, takes
     the block's largest mean square and smallest variance, and clamps the
-    block only if that smallest value is not >= 0. With ``copy`` false,
-    each container takes its result without a copy.
+    block only if that smallest value is not >= 0. Each container takes
+    its result without a copy.
     """
     n = samples.size
     top = max(windows)
@@ -261,8 +252,7 @@ def _one_pass(samples: np.ndarray, windows: list[int], *, copy: bool) -> list[Lo
             raise InternalError(
                 f"box-filter variance fell to {lowest}, beyond rounding tolerance"
             )
-        if not copy:
-            # Handed over: nothing else holds this array.
-            variances.flags.writeable = False
+        # Handed over: nothing else holds this array.
+        variances.flags.writeable = False
         estimates.append(LocalVarianceSeries(variances, window=window, zero_floor=zero_floor))
     return estimates

@@ -199,7 +199,7 @@ class TestWindowSets:
             warnings.simplefilter("error")
             results = list(_local_variances(series, windows))
             # All the windows in one pass, whatever the passes' size limit.
-            together = _one_pass(series.samples, list(windows), copy=False)
+            together = _one_pass(series.samples, list(windows))
         assert [result.window for result in results] == list(windows)
         for window, result, shared in zip(windows, results, together):
             assert shared.variances.tobytes() == result.variances.tobytes(), window
@@ -388,15 +388,17 @@ class TestMemory:
             tracemalloc.stop()
         return peak
 
-    def test_peak_is_the_result_and_its_copy(self):
-        """16 bytes per sample plus one block's scratch; the whole-series
+    def test_peak_is_the_result_and_its_mask(self):
+        """8 bytes per sample, which the container takes without a copy, a
+        one-byte finiteness mask and one block's scratch; the whole-series
         formula holds x, x*x, the doubling levels and both means, 48."""
         n = 1 << 20
         series = TimeSeries(np.random.default_rng(1).normal(0, 1, n))
         results = []
         peak = self.traced_peak(lambda: results.append(local_variance(series, 128)))
         assert len(results[0]) == n - 127
-        assert peak < 20 * n
+        assert results[0].variances.base is None
+        assert peak < 12 * n
 
     def test_many_windows_hold_two_results_at_a_time(self):
         """Forty windows taken one at a time, as the sweep takes them: a
@@ -427,9 +429,9 @@ class TestMemory:
     def test_passes_hold_the_larger_of_two_results_and_the_floor(self, monkeypatch, n, windows, passes):
         seen = []
 
-        def spy(samples, group, *, copy):
+        def spy(samples, group):
             seen.append(list(group))
-            return _one_pass(samples, group, copy=copy)
+            return _one_pass(samples, group)
 
         monkeypatch.setattr(local_variance_module, "_one_pass", spy)
         series = TimeSeries(np.random.default_rng(n).normal(0, 1, n))

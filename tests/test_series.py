@@ -180,9 +180,10 @@ class TestGenerator:
         )
 
     @pytest.mark.parametrize("num_sigmas", [1, 20])
-    def test_peak_is_the_samples_and_their_copy(self, num_sigmas):
-        """Segments are drawn into one array; a list of them joined by
-        ``np.concatenate`` would add 8 bytes per row."""
+    def test_peak_is_the_samples_and_their_mask(self, num_sigmas):
+        """One draw, scaled in place and taken by the series without a copy,
+        plus a one-byte finiteness mask; a draw per segment or a copy would
+        add up to 8 bytes per row."""
         rows = 1 << 20
         config = SegmentedGeneratorConfig(total_samples=rows, num_sigmas=num_sigmas, seed=1)
         tracemalloc.start()
@@ -192,7 +193,8 @@ class TestGenerator:
         finally:
             tracemalloc.stop()
         assert len(series) == rows
-        assert peak < 20 * rows
+        assert series.samples.base is None
+        assert peak < 12 * rows
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -215,9 +215,9 @@ class TestDefaultGrid:
         module = importlib.import_module("hetquant.local_variance")
         passes = []
 
-        def spy(samples, windows, *, copy):
+        def spy(samples, windows):
             passes.append(list(windows))
-            return one_pass(samples, windows, copy=copy)
+            return one_pass(samples, windows)
 
         one_pass = module._one_pass
         monkeypatch.setattr(module, "_one_pass", spy)

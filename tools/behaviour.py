@@ -9,9 +9,10 @@ Every invocation runs through ``hetquant.cli.main`` in this process, in a
 fresh temporary working directory, with relative paths. For each one the
 manifest records the argv, the exit code and the sha256 of stdout, of
 stderr and of every file the invocation created or changed; its header
-records the machine facts. Two checkouts keep the same outputs when their
-manifests are equal. Some digests depend on the CPU's SIMD level (ROADMAP),
-so compare manifests made on one machine.
+records the machine facts, among them the SIMD targets numpy dispatches
+to. Two checkouts keep the same outputs when their manifests are equal.
+Some digests depend on the CPU's SIMD level (ROADMAP), so compare manifests
+made on one machine.
 """
 
 from __future__ import annotations
@@ -196,6 +197,16 @@ def run(argv: list[str], stdin: str | None) -> dict:
     }
 
 
+def simd_targets() -> dict[str, bool | None]:
+    """Whether numpy dispatches to each SIMD target that some digests
+    depend on (None: unknown to this numpy)."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    return {name: __cpu_features__.get(name) for name in ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR")}
+
+
 def machine() -> dict:
     cpu = platform.processor() or platform.machine()
     with contextlib.suppress(OSError):
@@ -208,6 +219,7 @@ def machine() -> dict:
         "numpy": np.__version__,
         "cpu_model": cpu,
         "usable_cpus": usable_cpus(),
+        "simd_targets": simd_targets(),
     }
 
 
