@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .distribution import BINNINGS, ProbabilityDistribution, estimate_pdf
 from .divergence import _coefficient, affinity_from_coefficient, distance_from_coefficient
 from .errors import ConfigurationError, ParameterError
-from .local_variance import LocalVarianceSeries, _local_variances, local_variance
+from .local_variance import LocalVarianceSeries, local_variance
 from .series import TimeSeries, integer
 
 __all__ = [
@@ -99,24 +99,10 @@ def measure(series: TimeSeries, config: MeasureConfig = MeasureConfig()) -> Meas
     Requires at least window + 1 samples so the histogram sees two or more
     variance estimates.
     """
-    _check_length(series, config.window)
-    return _report(local_variance(series, config.window), config)
-
-
-def _measure_windows(series: TimeSeries, configs) -> list[MeasureReport]:
-    """``measure(series, config)`` for each of ``configs``, in order, from
-    the kernel's shared passes (see ``_local_variances``)."""
-    for config in configs:
-        _check_length(series, config.window)
-    variances = _local_variances(series, [config.window for config in configs])
-    # Nothing here holds a window's variances while the next pass runs.
-    return [_report(next(variances), config) for config in configs]
-
-
-def _check_length(series: TimeSeries, window: int) -> None:
     n = len(series)
-    if n < window + 1:
-        raise ParameterError(f"series length ({n}) must be at least window + 1 ({window + 1})")
+    if n < config.window + 1:
+        raise ParameterError(f"series length ({n}) must be at least window + 1 ({config.window + 1})")
+    return _report(local_variance(series, config.window), config)
 
 
 def _report(variances: LocalVarianceSeries, config: MeasureConfig) -> MeasureReport:

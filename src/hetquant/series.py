@@ -202,9 +202,11 @@ def generate_segmented(config: SegmentedGeneratorConfig) -> TimeSeries:
     lengths = segment_lengths(config.total_samples, config.num_sigmas)
     samples = rng.standard_normal(config.total_samples)
     start = 0
-    for sigma, length in zip(sigmas, lengths):
-        samples[start : start + length] *= sigma
-        start += length
+    # A product that overflows is reported by TimeSeries as not finite.
+    with np.errstate(over="ignore"):
+        for sigma, length in zip(sigmas, lengths):
+            samples[start : start + length] *= sigma
+            start += length
     samples += 0.0
     # Handed over: nothing else holds this array.
     samples.flags.writeable = False
@@ -347,8 +349,8 @@ _FORMAT_ROWS = 1 << 16
 _RANGE_BYTES = 1 << 20
 
 
-def _blocks(handle, offset: int = 0, end: int | None = None):
-    """Yield ``(offset, block)`` pieces of a binary stream, in order, from
+def _blocks(handle, offset: int = 0, end: int | None = None) -> Iterator[str]:
+    """Yield the text of a binary stream, decoded in blocks, in order, from
     its position, which lies ``offset`` bytes into the input, up to the byte
     at ``end`` (None: the end of the stream).
 
@@ -357,11 +359,14 @@ def _blocks(handle, offset: int = 0, end: int | None = None):
     or the range does. A ``b"\\r"`` that is the last byte read may be half
     of a ``\\r\\n`` pair, so it waits for the next read. A cut therefore
     never splits a UTF-8 character or a ``\\r\\n`` pair, and the lines of
-    the decoded blocks are the lines of the whole input. A stretch with no
-    ``b"\\n"`` or ``b"\\r"`` stays in one block.
+    the blocks are the lines of the whole input. A stretch with no
+    ``b"\\n"`` or ``b"\\r"`` stays in one block. Each byte is decoded once,
+    and neither a block's bytes nor its text is held here while the caller
+    parses it.
     """
     position = offset
     pending: list[bytes] = []
+    texts: list[str] = []
     while data := handle.read(_BLOCK_BYTES if end is None else min(_BLOCK_BYTES, end - position)):
         position += len(data)
         cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, len(data) - 1)) + 1
@@ -369,14 +374,15 @@ def _blocks(handle, offset: int = 0, end: int | None = None):
             pending.append(data)
             continue
         pending.append(data[:cut])
-        block = b"".join(pending)
-        pending = [data[cut:]]
-        del data  # not held while the caller parses the block
-        yield offset, block
-        offset += len(block)
-    tail = b"".join(pending)
-    if tail:
-        yield offset, tail
+        data = data[cut:]
+        texts.append(_decode(b"".join(pending), offset))
+        offset = position - len(data)
+        pending = [data]
+        yield texts.pop()
+    if any(pending):
+        texts.append(_decode(b"".join(pending), offset))
+        del pending
+        yield texts.pop()
 
 
 def _next_cut(handle, position: int) -> int:
@@ -478,9 +484,8 @@ def _parse_block(lines: list[str], first_row: int, names: tuple[str, ...]) -> np
 
 
 def _parse_blocks(blocks, names: tuple[str, ...], first_row: int) -> tuple:
-    """Parse the data rows in ``blocks``, ``(offset, bytes)`` pieces that
-    ``_blocks`` cut, into the columns ``names``, numbering them from
-    ``first_row``.
+    """Parse the data rows in ``blocks``, texts that ``_blocks`` cut, into
+    the columns ``names``, numbering them from ``first_row``.
 
     Returns the ``(n, columns)`` table of each block, the number of rows,
     and the first row error or None. Invalid UTF-8 raises at once.
@@ -488,8 +493,7 @@ def _parse_blocks(blocks, names: tuple[str, ...], first_row: int) -> tuple:
     tables: list[np.ndarray] = []
     rows = 0
     error: IngestionError | None = None
-    for offset, block in blocks:
-        lines = _decode(block, offset).splitlines()
+    for lines in map(str.splitlines, blocks):
         # After an error the rest is still decoded: invalid UTF-8 anywhere
         # in the input takes precedence, as when it was decoded whole.
         if error is None and lines:
@@ -540,25 +544,25 @@ def read_table(source, headers: tuple[str, ...]) -> list[np.ndarray]:
     path = source if isinstance(source, (str, os.PathLike)) else None
     with open(path, "rb") if path is not None else contextlib.nullcontext(source) as handle:
         blocks = _blocks(handle)
-        first = next(blocks, None)
-        if first is None:
+        text = next(blocks, "")
+        if not text:
             raise IngestionError("empty file")
-        _, block = first
-        line = _decode(block, 0).splitlines(keepends=True)[0]
-        start = len(line.encode("utf-8"))
+        line = text.splitlines(keepends=True)[0]
+        blocks = itertools.chain([text[len(line) :]], blocks)
+        del text  # the first block's rows are kept only until they are parsed
         header = line.strip()
         if header not in headers:
-            for offset, data in blocks:
-                _decode(data, offset)
+            for _ in blocks:  # decoded only to find invalid UTF-8
+                pass
             raise IngestionError(f"header must be {' or '.join(map(repr, headers))}, got {header!r}")
         names = tuple(header.split(","))
-        items = [span + (names,) for span in _ranges(path, handle, start)]
+        items = [span + (names,) for span in _ranges(path, handle, len(line.encode("utf-8")))]
         if items:
+            del blocks
             # Consumed here, so the pool is shut down before this returns.
             results = list(ordered_map(_read_range, items, usable_cpus()))
         else:
-            rest = itertools.chain([(start, block[start:])], blocks)
-            results = [_parse_blocks(rest, names, 1)]
+            results = [_parse_blocks(blocks, names, 1)]
     rows = 0
     for index, (_, count, error) in enumerate(results):
         if error is not None:

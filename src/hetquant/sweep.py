@@ -23,8 +23,9 @@ import numpy as np
 
 from .distribution import estimate_pdf  # not called here; kept for perfbench/spans.py, which hooks this name
 from .errors import ConfigurationError, CorrelationUndefinedError, ParameterError
+from .local_variance import _local_variances
 from .local_variance import local_variance  # not called here; kept for perfbench/spans.py, which hooks this name
-from .measure import METRIC_ORDER, MeasureConfig, _measure_windows
+from .measure import METRIC_ORDER, MeasureConfig, _report
 from .series import SegmentedGeneratorConfig, config_from, csv_bytes, generate_segmented, integer, ordered_map
 
 __all__ = [
@@ -142,10 +143,14 @@ class SummaryRow(NamedTuple):
 
 
 def _cell_rows(config: SweepConfig, cell: tuple[int, int]) -> list[SweepRow]:
-    """Score the series of one (seed, k) cell under every window of the sweep."""
+    """Score the series of one (seed, k) cell under every window of the sweep,
+    as ``measure`` scores it, from the kernel's shared passes."""
     seed, k = cell
     series = generate_segmented(config._generator_config(k, seed))
-    reports = _measure_windows(series, [config._measure_config(w) for w in config.windows])
+    # SweepConfig has proved max(windows) + 1 <= total_samples, and nothing
+    # here holds a window's variances while the next pass runs.
+    variances = _local_variances(series, config.windows)
+    reports = [_report(next(variances), config._measure_config(w)) for w in config.windows]
     return [
         SweepRow(k, report.config.window, seed, metric, score)
         for report in reports

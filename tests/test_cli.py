@@ -752,19 +752,25 @@ class TestTopLevel:
         assert code == 1
         assert "error: usage:" in err
 
-    @pytest.mark.parametrize("command", [("generate", "--samples", "64"), ("sweep",)])
-    def test_infinite_sigma_max_exits_one_without_warnings(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("command", [("generate", "--samples", "1000"), ("sweep",)])
+    @pytest.mark.parametrize(
+        "sigmas, message",
+        [
+            (("--sigma-max", "inf"), "configuration: sigma_max must be finite"),
+            (("--sigma-min", "1e308", "--sigma-max", "1.7e308"), "parameter: samples must be finite"),
+        ],
+        ids=["infinite", "overflowing"],
+    )
+    def test_sigmas_past_float64_exit_one_without_warnings(self, tmp_path, capsys, command, sigmas, message):
         target = tmp_path / "out.csv"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code, out, err = run_cli(
-                capsys, *command, "--sigma-max", "inf", "--out", str(target)
-            )
+            code, out, err = run_cli(capsys, *command, *sigmas, "--out", str(target))
         assert code == 1
         assert out == ""
-        assert err == "error: configuration: sigma_max must be finite\n"
+        assert err == f"error: {message}\n"
         assert caught == []
-        assert not target.exists()
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestFlagsMatchConfigs:

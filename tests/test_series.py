@@ -9,6 +9,7 @@ import stat
 import threading
 import time
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -127,6 +128,18 @@ class TestGenerator:
         zeros = reference == 0.0
         assert zeros.any() and not np.signbit(reference[zeros]).any()
         assert generate_segmented(config).samples.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("num_sigmas", [1, 3])
+    def test_products_past_float64_raise_parameter_error(self, num_sigmas):
+        """Sigmas near the float64 limit make some sigma * z overflow: the
+        series reports it as not finite, and numpy warns of nothing."""
+        config = SegmentedGeneratorConfig(
+            total_samples=1000, num_sigmas=num_sigmas, sigma_min=1e308, sigma_max=1.7e308
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="^samples must be finite$"):
+                generate_segmented(config)
 
     def test_identical_config_is_bit_identical(self):
         config = SegmentedGeneratorConfig(total_samples=2048, num_sigmas=8, seed=123)
@@ -683,6 +696,28 @@ class TestInvalidUtf8:
         with pytest.raises(IngestionError) as excinfo:
             read_csv(io.BytesIO(raw))
         assert str(excinfo.value) == f"input is not valid UTF-8: {decoded.value}"
+
+
+class TestDecodedOnce:
+    """A read in one pass decodes each input byte once, in the block that
+    ``_blocks`` cuts it in."""
+
+    @pytest.mark.parametrize("source", ["stream", "path"])
+    @pytest.mark.parametrize("ending", [b"\n", b"\r\n"])
+    @pytest.mark.parametrize("rows", [40, 1 << 15])
+    def test_each_byte_is_decoded_once(self, monkeypatch, tmp_path, source, ending, rows):
+        series = generate_segmented(SegmentedGeneratorConfig(total_samples=rows, num_sigmas=4, seed=1))
+        raw = series_csv_bytes(series).replace(b"\n", ending)
+        decoded = []
+        decode = series_module._decode
+
+        def spy(data: bytes, offset: int) -> str:
+            decoded.append(len(data))
+            return decode(data, offset)
+
+        monkeypatch.setattr(series_module, "_decode", spy)
+        assert read_csv(io.BytesIO(raw) if source == "stream" else write_file(tmp_path, raw)) == series
+        assert sum(decoded) == len(raw)
 
 
 @contextlib.contextmanager

@@ -163,6 +163,12 @@ def invocations() -> list[tuple[list[str], str | None]]:
          "--summary", "summary-odd-windows.csv"],
         None,
     ))
+    # Sigmas whose products with the draws overflow float64: one error line,
+    # no numpy warning, no file.
+    runs.append((
+        ["generate", "--samples", "1000", "--sigma-min", "1e308", "--sigma-max", "1.7e308", "--out", "never.csv"],
+        None,
+    ))
     return runs
 
 
