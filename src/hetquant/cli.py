@@ -5,12 +5,17 @@ configs, malformed CSV), 2 on I/O failure. Errors print to standard error
 as ``error: <category>: <detail>``. Output files are written to a
 temporary sibling and renamed into place, so a failing run never leaves a
 partial file behind.
+
+``main(argv)`` may be called many times in one process. It builds its
+parser on the first call and reuses it; help is still laid out when it is
+printed, so it follows ``COLUMNS``.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import os
 import sys
 
@@ -170,6 +175,8 @@ _COMMANDS = {
 }
 
 
+# parse_args leaves the parser as it was, so one parser serves every call.
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="hetquant",

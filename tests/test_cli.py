@@ -3,6 +3,7 @@
 import dataclasses
 import errno
 import io
+import json
 import math
 import os
 import re
@@ -813,6 +814,10 @@ def run_fresh(script: str, *argv: str, stdin=None) -> str:
 
 
 class TestStartup:
+    def test_import_builds_no_parser(self):
+        built = run_fresh("import hetquant.cli\nprint(hetquant.cli._build_parser.cache_info().currsize)")
+        assert built.strip() == "0"
+
     def test_import_loads_no_scipy_or_process_pool(self):
         loaded = run_fresh(
             "import sys, hetquant.cli\n"
@@ -848,3 +853,90 @@ class TestStartup:
             out = str(tmp_path / f"{workers}.csv")
             run_fresh(cli, *TestSweepCli.ARGS, "--workers", workers, "--out", out)
         assert (tmp_path / "1.csv").read_bytes() == (tmp_path / "2.csv").read_bytes()
+
+
+# Runs main(argv) once in a fresh interpreter and prints its exit code,
+# stdout and stderr as JSON; a SystemExit (--help) gives the exit code.
+RUN_ALONE = (
+    "import contextlib, io, json, sys\n"
+    "from hetquant.cli import main\n"
+    "out, err = io.StringIO(), io.StringIO()\n"
+    "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+    "    try:\n"
+    "        code = main(sys.argv[1:])\n"
+    "    except SystemExit as exc:\n"
+    "        code = exc.code\n"
+    "print(json.dumps([code, out.getvalue(), err.getvalue()]))"
+)
+
+
+def run_in_process(capsys, argv: list[str]) -> list:
+    """What ``RUN_ALONE`` prints for ``argv``, from a call in this process."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return [code, captured.out, captured.err]
+
+
+def run_alone(argv: list[str]) -> list:
+    return json.loads(run_fresh(RUN_ALONE, *argv))
+
+
+class TestReusedParser:
+    """main builds its parser on the first call and reuses it; every call
+    behaves as it would alone in a fresh interpreter."""
+
+    SEQUENCE = [
+        ["divergence", "--metric", "nope"],
+        ["--help"],
+        ["analyze", "--input", "absent.csv"],
+        ["generate", "--samples", "4096", "--out", "s.csv"],
+        ["analyze", "--input", "s.csv", "--window", "32", "--bins", "16", "--emit-distribution", "h.csv"],
+        ["divergence", "--p", "h.csv", "--metric", "shannon_entropy"],
+        [*TestSweepCli.ARGS, "--out", "r.csv"],
+    ]
+
+    def test_the_parser_is_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_calls_in_one_process_match_each_call_alone(self, tmp_path, capsys, monkeypatch):
+        # Without COLUMNS, help here would follow this terminal's width and
+        # in the fresh interpreters that of a pipe.
+        monkeypatch.setenv("COLUMNS", "80")
+        together, alone = tmp_path / "together", tmp_path / "alone"
+        together.mkdir()
+        alone.mkdir()
+        _build_parser.cache_clear()
+        monkeypatch.chdir(together)
+        in_process = [run_in_process(capsys, argv) for argv in self.SEQUENCE]
+        assert _build_parser.cache_info().misses == 1
+        assert [code for code, _, _ in in_process] == [1, 0, 2, 0, 0, 0, 0]
+        monkeypatch.chdir(alone)
+        assert in_process == [run_alone(argv) for argv in self.SEQUENCE]
+        made = {path.name: path.read_bytes() for path in together.iterdir()}
+        assert sorted(made) == ["h.csv", "r.csv", "s.csv"]
+        assert made == {path.name: path.read_bytes() for path in alone.iterdir()}
+
+    def test_a_name_patched_after_a_first_call_takes_effect(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(capsys, *TestSweepCli.ARGS, "--out", "first.csv")[0] == 0
+        parser = _build_parser()
+        monkeypatch.setattr(cli_module, "run_sweep", TestSweepCli.refuse_run)
+        with pytest.raises(AssertionError, match="the grid was run"):
+            main([*TestSweepCli.ARGS, "--out", "second.csv"])
+        assert _build_parser() is parser
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["first.csv"]
+
+    def test_help_follows_columns_between_calls(self, capsys, monkeypatch):
+        _build_parser.cache_clear()
+        texts = {}
+        for columns in (60, 200, 60):
+            monkeypatch.setenv("COLUMNS", str(columns))
+            code, out, err = run_in_process(capsys, ["divergence", "--help"])
+            assert [code, out, err] == run_alone(["divergence", "--help"])
+            assert (code, err) == (0, "")
+            assert out == texts.setdefault(columns, out)
+        assert len(texts[60].splitlines()) > len(texts[200].splitlines())
+        assert _build_parser.cache_info().misses == 1

@@ -12,7 +12,9 @@ stderr and of every file the invocation created or changed; its header
 records the machine facts, among them the SIMD targets numpy dispatches
 to. Two checkouts keep the same outputs when their manifests are equal.
 Some digests depend on the CPU's SIMD level (ROADMAP), so compare manifests
-made on one machine.
+made on one machine. The last five invocations print help texts, laid out
+at ``COLUMNS=80``; argparse lays out help differently from one Python
+version to another, and their committed digests hold for Python 3.11.
 """
 
 from __future__ import annotations
@@ -169,6 +171,10 @@ def invocations() -> list[tuple[list[str], str | None]]:
         ["generate", "--samples", "1000", "--sigma-min", "1e308", "--sigma-max", "1.7e308", "--out", "never.csv"],
         None,
     ))
+    # The help texts, which exit through SystemExit with code 0.
+    runs.append((["--help"], None))
+    for command in ("generate", "analyze", "divergence", "sweep"):
+        runs.append(([command, "--help"], None))
     return runs
 
 
@@ -191,7 +197,10 @@ def run(argv: list[str], stdin: str | None) -> dict:
             sys.stdin = stack.enter_context(open(stdin, encoding="utf-8"))
             stack.callback(setattr, sys, "stdin", saved)
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # --help
+                code = exc.code
     after = files()
     return {
         "argv": argv,
@@ -231,8 +240,12 @@ def machine() -> dict:
 
 def manifest() -> dict:
     home = os.getcwd()
+    columns = os.environ.get("COLUMNS")
     work = tempfile.mkdtemp(prefix="hetquant-behaviour-")
     try:
+        # Help is wrapped to the terminal width, which argparse reads from
+        # COLUMNS first.
+        os.environ["COLUMNS"] = "80"
         os.chdir(work)
         for name, text in HAND_WRITTEN.items():
             Path(name).write_text(text)
@@ -244,6 +257,10 @@ def manifest() -> dict:
     finally:
         os.chdir(home)
         shutil.rmtree(work)
+        if columns is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = columns
 
 
 if __name__ == "__main__":
