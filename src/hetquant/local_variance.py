@@ -173,8 +173,10 @@ def _local_variances(series: TimeSeries, windows) -> Iterator[LocalVarianceSerie
 
     The windows are computed in passes (see ``_PASS_OUTPUTS``), each of
     which holds only its own results until they are yielded. The first
-    window out of range raises before any pass, and the first whose sums
-    overflow raises once its pass is done.
+    window out of range raises before any pass. Each pass returns raw,
+    unclamped variances, and each window's result is then checked, clamped
+    and yielded in turn, so the first window whose sums overflow raises
+    after the windows before it in its pass have been yielded.
     """
     samples = series.samples
     n = samples.size
@@ -190,22 +192,37 @@ def _local_variances(series: TimeSeries, windows) -> Iterator[LocalVarianceSerie
         passes[-1].append(window)
         outputs += n - window + 1
     for group in passes:
-        results = _one_pass(samples, group)
-        results.reverse()
-        # Yielded one at a time, so the caller can free each when done.
-        while results:
-            yield results.pop()
+        results, block_max_sq = _one_pass(samples, group)
+        for i, window in enumerate(group):
+            variances, results[i] = results[i], None
+            # np.max, unlike Python's max, keeps a NaN from any block.
+            depth_terms = window.bit_length() + window.bit_count()
+            zero_floor = float(1.5 * depth_terms * np.finfo(np.float64).eps * np.max(block_max_sq[i]))
+            if not np.isfinite(zero_floor):
+                raise ParameterError("samples are too large: their window sums of squares overflow float64")
+            lowest = variances.min()
+            if lowest < -max(_NEGATIVE_TOLERANCE, zero_floor):
+                raise InternalError(
+                    f"box-filter variance fell to {lowest}, beyond rounding tolerance"
+                )
+            if not lowest >= 0:
+                np.maximum(variances, 0.0, out=variances)
+            # Handed over: nothing else holds this array.
+            variances.flags.writeable = False
+            yield LocalVarianceSeries(variances, window=window, zero_floor=zero_floor)
+            # Else a result the caller has dropped lives on through the next pass.
+            del variances
 
 
-def _one_pass(samples: np.ndarray, windows: list[int]) -> list[LocalVarianceSeries]:
-    """``local_variance`` at each of ``windows`` from one blocked pass (see
-    ``_BLOCK_OUTPUTS``). Each block builds the doubling levels of its
-    centred samples once, up to the largest window, and every window takes
-    its means from them; the bits are those of one window alone. Then each
-    window squares its means, subtracts them from its mean squares, takes
-    the block's largest mean square and smallest variance, and clamps the
-    block only if that smallest value is not >= 0. Each container takes
-    its result without a copy.
+def _one_pass(samples: np.ndarray, windows: list[int]) -> tuple[list[np.ndarray], list[list[float]]]:
+    """The raw, unclamped variances at each of ``windows`` from one blocked
+    pass (see ``_BLOCK_OUTPUTS``), and each window's largest mean square per
+    block. Each block builds the doubling levels of its centred samples
+    once, up to the largest window, and every window takes its means from
+    them; the bits are those of one window alone. Then each window squares
+    its means, subtracts them from its mean squares and takes the block's
+    largest mean square. ``_local_variances`` checks, clamps and freezes
+    each result.
     """
     n = samples.size
     top = max(windows)
@@ -215,8 +232,7 @@ def _one_pass(samples: np.ndarray, windows: list[int]) -> list[LocalVarianceSeri
     results = [np.empty(n - window + 1) for window in windows]
     scratch = [np.empty(min(block, n - window + 1)) for window in windows]
     block_max_sq = [[] for _ in windows]
-    block_min = [[] for _ in windows]
-    # Overflow turns up as a zero floor that is not finite, checked below.
+    # Overflow turns up as a zero floor that is not finite, which the caller checks.
     with np.errstate(over="ignore", invalid="ignore"):
         center = samples.mean()
         for a in range(0, n - min(windows) + 1, block):
@@ -234,25 +250,4 @@ def _one_pass(samples: np.ndarray, windows: list[int]) -> list[LocalVarianceSeri
                 np.multiply(mean, mean, out=mean)
                 np.subtract(mean_sq, mean, out=mean)
                 block_max_sq[i].append(mean_sq.max())
-                low = mean.min()
-                block_min[i].append(low)
-                # Not "low < 0": a block whose minimum is NaN can hold
-                # negative values too.
-                if not low >= 0:
-                    np.maximum(mean, 0.0, out=mean)
-    estimates = []
-    for window, variances, max_sq, lows in zip(windows, results, block_max_sq, block_min):
-        # np.max and np.min, unlike Python's, keep a NaN from any block.
-        depth_terms = window.bit_length() + window.bit_count()
-        zero_floor = float(1.5 * depth_terms * np.finfo(np.float64).eps * np.max(max_sq))
-        if not np.isfinite(zero_floor):
-            raise ParameterError("samples are too large: their window sums of squares overflow float64")
-        lowest = np.min(lows)
-        if lowest < -max(_NEGATIVE_TOLERANCE, zero_floor):
-            raise InternalError(
-                f"box-filter variance fell to {lowest}, beyond rounding tolerance"
-            )
-        # Handed over: nothing else holds this array.
-        variances.flags.writeable = False
-        estimates.append(LocalVarianceSeries(variances, window=window, zero_floor=zero_floor))
-    return estimates
+    return results, block_max_sq

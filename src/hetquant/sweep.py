@@ -147,10 +147,12 @@ def _cell_rows(config: SweepConfig, cell: tuple[int, int]) -> list[SweepRow]:
     as ``measure`` scores it, from the kernel's shared passes."""
     seed, k = cell
     series = generate_segmented(config._generator_config(k, seed))
-    # SweepConfig has proved max(windows) + 1 <= total_samples, and nothing
-    # here holds a window's variances while the next pass runs.
-    variances = _local_variances(series, config.windows)
-    reports = [_report(next(variances), config._measure_config(w)) for w in config.windows]
+    # SweepConfig has proved max(windows) + 1 <= total_samples. map, unlike a
+    # for loop, keeps no window's variances while the next pass runs.
+    reports = map(
+        lambda variances: _report(variances, config._measure_config(variances.window)),
+        _local_variances(series, config.windows),
+    )
     return [
         SweepRow(k, report.config.window, seed, metric, score)
         for report in reports

@@ -4,6 +4,7 @@ import importlib
 import tracemalloc
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -199,7 +200,8 @@ class TestWindowSets:
             warnings.simplefilter("error")
             results = list(_local_variances(series, windows))
             # All the windows in one pass, whatever the passes' size limit.
-            together = _one_pass(series.samples, list(windows))
+            with mock.patch.object(local_variance_module, "_PASS_FLOOR", 1 << 62):
+                together = list(_local_variances(series, windows))
         assert [result.window for result in results] == list(windows)
         for window, result, shared in zip(windows, results, together):
             assert shared.variances.tobytes() == result.variances.tobytes(), window
@@ -253,6 +255,21 @@ class TestWindowSets:
                 list(_local_variances(series, windows))
         assert str(together.value) == str(alone.value)
 
+    def test_a_window_that_overflows_raises_after_those_before_it_in_its_pass(self):
+        # Sums of squares of 6e153 fit over 4 samples; over 8 they overflow.
+        series = TimeSeries(np.tile([6e153, -6e153], 32))
+        alone = local_variance(series, 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results = _local_variances(series, (4, 8))
+            first = next(results)
+            with pytest.raises(ParameterError) as overflow:
+                next(results)
+        assert str(overflow.value) == "samples are too large: their window sums of squares overflow float64"
+        assert first.window == 4
+        assert first.variances.tobytes() == alone.variances.tobytes()
+        assert first.zero_floor == alone.zero_floor == 4.796163466380677e292
+
 
 class TestPowerOfTwoScaling:
     """A power-of-two window's means are its one doubling level times 1 / w,
@@ -288,8 +305,8 @@ class TestPowerOfTwoScaling:
 
 class TestClamp:
     """Rounding can leave a window's variance below zero; the kernel clamps
-    only the blocks that hold such a value, and every block keeps the bits
-    of the clamped formula."""
+    a result whose smallest value is below zero, and every value keeps the
+    bits of the clamped formula."""
 
     def test_a_block_with_negative_residues_between_two_without(self):
         window = 100

@@ -12,8 +12,8 @@ stderr and of every file the invocation created or changed; its header
 records the machine facts, among them the SIMD targets numpy dispatches
 to. Two checkouts keep the same outputs when their manifests are equal.
 Some digests depend on the CPU's SIMD level (ROADMAP), so compare manifests
-made on one machine. The last five invocations print help texts, laid out
-at ``COLUMNS=80``; argparse lays out help differently from one Python
+made on one machine. The five invocations before the last print help texts,
+laid out at ``COLUMNS=80``; argparse lays out help differently from one Python
 version to another, and their committed digests hold for Python 3.11.
 """
 
@@ -175,6 +175,14 @@ def invocations() -> list[tuple[list[str], str | None]]:
     runs.append((["--help"], None))
     for command in ("generate", "analyze", "divergence", "sweep"):
         runs.append(([command, "--help"], None))
+    # Sigmas whose samples' window sums of squares overflow float64, scored
+    # by sweep cells in pool workers: one error line, no file.
+    runs.append((
+        ["sweep", "--sigma-counts", "1,2", "--windows", "4,8", "--bins", "8", "--samples", "1024",
+         "--seeds", "1,2", "--sigma-min", "1e154", "--sigma-max", "1e154", "--workers", "2",
+         "--out", "never.csv"],
+        None,
+    ))
     return runs
 
 
