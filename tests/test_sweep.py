@@ -237,6 +237,22 @@ class TestDefaultGrid:
             tracemalloc.stop()
         assert peak < 3.5 * 2**20
 
+    def test_a_cell_keeps_no_variances_of_one_pass_through_the_next(self):
+        """At 2**18 samples each kernel pass takes two of the four windows.
+        25.3 bytes per sample measured: the series, one pass's two results
+        and the scoring's scratch; keeping the first pass's last result
+        through the second would add 8."""
+        n = 1 << 18
+        config = SweepConfig(sigma_counts=(1,), windows=(2, 3, 4, 5), total_samples=n, seeds=(1,))
+        _cell_rows(config, (1, 1))
+        tracemalloc.start()
+        try:
+            _cell_rows(config, (1, 1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 29 * n
+
 
 class TestDeterminism:
     def test_repeat_runs_are_byte_identical(self):
