@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import IngestionError, ParameterError
 from .local_variance import LocalVarianceSeries, variance_array
-from .series import csv_bytes, frozen_array, integer, read_table, write_bytes
+from .series import csv_bytes, frozen_array, integer, proved, read_table, write_bytes
 
 __all__ = [
     "ProbabilityDistribution",
@@ -125,7 +125,8 @@ def estimate_pdf(variances, bins: int, binning: str = "linear") -> ProbabilityDi
     occupied = _bin_counts(values, counting)
     counts = np.zeros(bins)
     counts[: occupied.size] = occupied
-    return ProbabilityDistribution(edges, counts / counts.sum())
+    # Edges finite and rising (checked above, or steps of at least width); masses are counts over their sum.
+    return proved(ProbabilityDistribution, edges=edges, masses=counts / counts.sum())
 
 
 def _bin_counts(values: np.ndarray, counting: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalError, ParameterError
-from .series import TimeSeries, frozen_array, integer
+from .series import TimeSeries, frozen_array, integer, proved
 
 __all__ = ["LocalVarianceSeries", "local_variance"]
 
@@ -59,7 +59,8 @@ class LocalVarianceSeries:
 
     ``zero_floor`` is the level at or below which an estimate is rounding
     residue of the box filter rather than signal; 0 means every positive
-    estimate is signal. ``variances`` is taken as ``frozen_array`` takes it.
+    estimate is signal. The constructor copies and checks ``variances``;
+    ``local_variance``'s results skip both (``proved``).
     """
 
     variances: np.ndarray
@@ -162,8 +163,7 @@ def local_variance(series: TimeSeries, window: int) -> LocalVarianceSeries:
     not in it.
 
     Memory is 8 bytes per sample, the result, which its container takes
-    without a copy (9 at peak, while the one-byte finiteness mask is held),
-    plus O(block + w) scratch.
+    without a copy, plus O(block + w) scratch.
     """
     return next(_local_variances(series, [window]))
 
@@ -207,9 +207,8 @@ def _local_variances(series: TimeSeries, windows) -> Iterator[LocalVarianceSerie
                 )
             if not lowest >= 0:
                 np.maximum(variances, 0.0, out=variances)
-            # Handed over: nothing else holds this array.
-            variances.flags.writeable = False
-            yield LocalVarianceSeries(variances, window=window, zero_floor=zero_floor)
+            # Finite (finite samples, finite floor), clamped to >= 0, nonempty (2 <= window <= n).
+            yield proved(LocalVarianceSeries, variances=variances, window=window, zero_floor=zero_floor)
             # Else a result the caller has dropped lives on through the next pass.
             del variances
 

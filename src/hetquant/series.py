@@ -53,20 +53,12 @@ def format_float(x: float) -> str:
 
 
 def frozen_array(values, name: str) -> np.ndarray:
-    """``values`` as a read-only float64 array, which must be 1-D and finite.
+    """A read-only float64 copy of ``values``, which must be 1-D and finite.
 
-    A read-only float64 ``ndarray`` that owns its data (``base is None``) is
-    taken as it is, without a copy: its caller hands it over and must not
-    make it writeable again. Anything else, a writeable array or a view of
-    one included, is copied.
+    Public constructors copy and check every array they are given; the
+    library's own results are built by ``proved`` without a copy.
     """
-    owned = (
-        type(values) is np.ndarray
-        and values.dtype == np.float64
-        and values.base is None
-        and not values.flags.writeable
-    )
-    array = values if owned else np.array(values, dtype=np.float64)
+    array = np.array(values, dtype=np.float64)
     if array.ndim != 1:
         raise ParameterError(f"{name} must be one-dimensional")
     if not np.isfinite(array).all():
@@ -87,6 +79,17 @@ def integer(value, name: str, minimum: int | None, error: type = ConfigurationEr
     return number
 
 
+def proved(cls, **values):
+    """A ``cls`` of ``values``, every field given, built with no check and no copy
+    (each ndarray is frozen in place): for values proved to pass its checks."""
+    instance = object.__new__(cls)
+    for name, value in values.items():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+        object.__setattr__(instance, name, value)
+    return instance
+
+
 _Config = TypeVar("_Config")
 
 
@@ -103,8 +106,8 @@ class TimeSeries:
 
     ``times`` holds the optional timestamp column of a two-column CSV; it is
     carried through round trips but ignored by every analysis. Equality
-    compares sample (and timestamp) values. Each column is taken as
-    ``frozen_array`` takes it.
+    compares sample (and timestamp) values. The constructor copies and
+    checks each column; the library's own series skip both (``proved``).
     """
 
     samples: np.ndarray
@@ -202,15 +205,16 @@ def generate_segmented(config: SegmentedGeneratorConfig) -> TimeSeries:
     lengths = segment_lengths(config.total_samples, config.num_sigmas)
     samples = rng.standard_normal(config.total_samples)
     start = 0
-    # A product that overflows is reported by TimeSeries as not finite.
+    # A product that overflows is reported below as not finite.
     with np.errstate(over="ignore"):
         for sigma, length in zip(sigmas, lengths):
             samples[start : start + length] *= sigma
             start += length
     samples += 0.0
-    # Handed over: nothing else holds this array.
-    samples.flags.writeable = False
-    return TimeSeries(samples)
+    if not np.isfinite(samples).all():
+        raise ParameterError("samples must be finite")
+    # Finite, one-dimensional and nonempty (total_samples >= 1).
+    return proved(TimeSeries, samples=samples, times=None)
 
 
 def _parse_value(token: str, row: int, column: str) -> float:
@@ -524,8 +528,7 @@ def read_table(source, headers: tuple[str, ...]) -> list[np.ndarray]:
     ``headers`` lists the accepted header lines; a header's comma-separated
     fields name its columns. Every data row must hold finite numbers;
     errors name the offending data row (1-based, header excluded) and
-    column. Each column is a read-only array that owns its data, so a
-    container can take it without a copy.
+    column.
 
     After a bad header the rest of the input is only decoded, here, to
     find invalid UTF-8. Otherwise a regular file with at least two
@@ -573,10 +576,7 @@ def read_table(source, headers: tuple[str, ...]) -> list[np.ndarray]:
     if not rows:
         raise IngestionError("no data rows")
     tables = [table for part, _, _ in results for table in part]
-    columns = [np.concatenate([table[:, j] for table in tables]) for j in range(len(names))]
-    for column in columns:
-        column.flags.writeable = False
-    return columns
+    return [np.concatenate([table[:, j] for table in tables]) for j in range(len(names))]
 
 
 def read_csv(source) -> TimeSeries:
@@ -587,10 +587,9 @@ def read_csv(source) -> TimeSeries:
     holds 8 bytes per row (16 with ``t``) and takes the parsed columns
     without a copy.
     """
-    columns = read_table(source, ("value", "t,value"))
-    if len(columns) == 2:
-        return TimeSeries(columns[1], times=columns[0])
-    return TimeSeries(columns[0])
+    *times, samples = read_table(source, ("value", "t,value"))
+    # read_table has proved the columns finite, nonempty and of one length.
+    return proved(TimeSeries, samples=samples, times=times[0] if times else None)
 
 
 def csv_chunks(header: str, *columns) -> Iterator[bytes]:

@@ -267,18 +267,19 @@ class TestTimeSeries:
             assert array.tolist() == [1.0, 2.0, 4.0]
             assert not array.flags.writeable
 
-    def test_a_read_only_array_that_owns_its_data_is_taken_as_is(self):
+    def test_a_read_only_array_that_owns_its_data_is_copied(self):
+        """A public constructor copies even a read-only array that owns its
+        data: an owner that makes it writeable again and writes to it changes
+        neither container."""
         owned = np.array([1.0, 2.0, 4.0])
         owned.flags.writeable = False
-        series = TimeSeries(owned)
-        variances = LocalVarianceSeries(owned, window=2)
-        assert series.samples is owned
-        assert variances.variances is owned
-        # Not copied means shared: an owner that makes the array writeable
-        # again writes into both containers.
+        built = [TimeSeries(owned).samples, LocalVarianceSeries(owned, window=2).variances]
+        assert all(array is not owned and array.base is None for array in built)
         owned.flags.writeable = True
         owned[0] = 8.0
-        assert series.samples[0] == variances.variances[0] == 8.0
+        for array in built:
+            assert array.tolist() == [1.0, 2.0, 4.0]
+            assert not array.flags.writeable
         owned.flags.writeable = False
         # The checks still run on it.
         owned_nan = np.array([1.0, np.nan])
