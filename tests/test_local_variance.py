@@ -406,9 +406,9 @@ class TestMemory:
         return peak
 
     def test_peak_is_the_result_and_its_mask(self):
-        """8 bytes per sample, which the container takes without a copy, a
-        one-byte finiteness mask and one block's scratch; the whole-series
-        formula holds x, x*x, the doubling levels and both means, 48."""
+        """8 bytes per sample, which the container takes without a copy or a
+        check, and one block's scratch; the whole-series formula holds x,
+        x*x, the doubling levels and both means, 48."""
         n = 1 << 20
         series = TimeSeries(np.random.default_rng(1).normal(0, 1, n))
         results = []
@@ -420,8 +420,8 @@ class TestMemory:
     def test_many_windows_hold_two_results_at_a_time(self):
         """Forty windows taken one at a time, as the sweep takes them: a
         pass holds at most 2 N variances, 16 bytes per sample, taken without
-        copies, plus a finiteness mask and a block of scratch per window,
-        where all forty would hold 320."""
+        copies, plus a block of scratch per window, where all forty would
+        hold 320."""
         n = 1 << 18
         series = TimeSeries(np.random.default_rng(2).normal(0, 1, n))
         windows = range(2, 42)
