@@ -412,12 +412,16 @@ def _ranges(path, handle, start: int) -> list[tuple]:
     ``read_table`` splits them, or ``[]`` when this process must read the
     input through ``handle``; ``opened`` is the file's ``os.stat``.
 
-    The path is resolved, so that ``/dev/stdin`` redirected from a file
-    names that file rather than a worker's own standard input. Each cut is
-    where ``_next_cut`` finds the end of a line. A nominal cut that the
-    line before it has already passed is skipped, and cutting stops at the
-    end of the file, so a long line is scanned once however many nominal
-    cuts it spans.
+    A regular file with at least two ``_RANGE_BYTES`` (2 MiB) of rows from
+    ``start`` on is always split, into ranges of about 1 MiB, whatever the
+    CPU count: for a smaller file, starting a pool would cost more than the
+    other CPUs save. Each range is parsed from the file opened again by
+    its resolved path, which must still be the file read here, else
+    ``OSError``; so ``/dev/stdin`` redirected from a file names that file,
+    not a worker's own standard input. Each cut is where ``_next_cut``
+    finds the end of a line. A nominal cut that the line before it has
+    already passed is skipped, and cutting stops at the end of the file,
+    so a long line is scanned once however many nominal cuts it spans.
     """
     if path is None:
         return []
@@ -530,19 +534,15 @@ def read_table(source, headers: tuple[str, ...]) -> list[np.ndarray]:
     errors name the offending data row (1-based, header excluded) and
     column.
 
-    After a bad header the rest of the input is only decoded, here, to
-    find invalid UTF-8. Otherwise a regular file with at least two
-    ``_RANGE_BYTES`` (2 MiB) of data rows is always split at line ends into
-    ranges of about 1 MiB, whatever the CPU count; for a smaller file,
-    starting a pool would cost more than the other CPUs save. Each range is
-    parsed from the file opened again by path, which must still be the file
-    read here, else ``OSError``: in a pool of one process per usable CPU,
-    or in this process where only one CPU is usable. Anything else, a
-    stream or a pipe included, is parsed in one pass in this process.
-    Either way the input is read in blocks of about 64 KiB, and the values,
-    errors and precedence are the same: invalid UTF-8 anywhere, reported at
-    its first position, then a bad header, then the first bad row. Parsing
-    holds the parsed values twice, 16 bytes per value, while it joins them.
+    The input is read in blocks of about 64 KiB. After a bad header the
+    rest is only decoded, here, to find invalid UTF-8. Otherwise the first
+    block's rows are parsed here, and then the ranges that ``_ranges``
+    splits a regular file into, in a pool of one process per usable CPU or
+    here where only one is usable; the rest of any other input, a stream
+    or a pipe included, is parsed here. Either way the values, errors and
+    precedence are the same: invalid UTF-8 anywhere, reported at its first
+    position, then a bad header, then the first bad row. Parsing holds the
+    parsed values twice, 16 bytes per value, while it joins them.
     """
     path = source if isinstance(source, (str, os.PathLike)) else None
     with open(path, "rb") if path is not None else contextlib.nullcontext(source) as handle:
@@ -551,26 +551,24 @@ def read_table(source, headers: tuple[str, ...]) -> list[np.ndarray]:
         if not text:
             raise IngestionError("empty file")
         line = text.splitlines(keepends=True)[0]
-        blocks = itertools.chain([text[len(line) :]], blocks)
-        del text  # the first block's rows are kept only until they are parsed
         header = line.strip()
         if header not in headers:
             for _ in blocks:  # decoded only to find invalid UTF-8
                 pass
             raise IngestionError(f"header must be {' or '.join(map(repr, headers))}, got {header!r}")
         names = tuple(header.split(","))
-        items = [span + (names,) for span in _ranges(path, handle, len(line.encode("utf-8")))]
+        items = [span + (names,) for span in _ranges(path, handle, len(text.encode("utf-8")))]
+        here = itertools.chain([text[len(line) :]], [] if items else blocks)
+        del text, blocks  # the first block's rows are kept only until they are parsed
+        results = [_parse_blocks(here, names, 1)]
         if items:
-            del blocks
             # Consumed here, so the pool is shut down before this returns.
-            results = list(ordered_map(_read_range, items, usable_cpus()))
-        else:
-            results = [_parse_blocks(blocks, names, 1)]
+            results += ordered_map(_read_range, items, usable_cpus())
     rows = 0
     for index, (_, count, error) in enumerate(results):
         if error is not None:
             if index:  # its worker numbered the rows of its range from 1
-                error = _read_range(items[index], rows + 1)[2]
+                error = _read_range(items[index - 1], rows + 1)[2]
             raise error
         rows += count
     if not rows:

@@ -700,16 +700,13 @@ class TestInvalidUtf8:
 
 
 class TestDecodedOnce:
-    """A read in one pass decodes each input byte once, in the block that
-    ``_blocks`` cuts it in."""
+    """A read decodes each input byte once, in the block that ``_blocks``
+    cuts it in."""
 
-    @pytest.mark.parametrize("source", ["stream", "path"])
-    @pytest.mark.parametrize("ending", [b"\n", b"\r\n"])
-    @pytest.mark.parametrize("rows", [40, 1 << 15])
-    def test_each_byte_is_decoded_once(self, monkeypatch, tmp_path, source, ending, rows):
-        series = generate_segmented(SegmentedGeneratorConfig(total_samples=rows, num_sigmas=4, seed=1))
-        raw = series_csv_bytes(series).replace(b"\n", ending)
-        decoded = []
+    @staticmethod
+    def decoded(monkeypatch) -> list[int]:
+        """The byte counts of the ``_decode`` calls that follow."""
+        decoded: list[int] = []
         decode = series_module._decode
 
         def spy(data: bytes, offset: int) -> str:
@@ -717,15 +714,61 @@ class TestDecodedOnce:
             return decode(data, offset)
 
         monkeypatch.setattr(series_module, "_decode", spy)
+        return decoded
+
+    @pytest.mark.parametrize("source", ["stream", "path"])
+    @pytest.mark.parametrize("ending", [b"\n", b"\r\n"])
+    @pytest.mark.parametrize("rows", [40, 1 << 15])
+    def test_each_byte_is_decoded_once(self, monkeypatch, tmp_path, source, ending, rows):
+        series = generate_segmented(SegmentedGeneratorConfig(total_samples=rows, num_sigmas=4, seed=1))
+        raw = series_csv_bytes(series).replace(b"\n", ending)
+        decoded = self.decoded(monkeypatch)
         assert read_csv(io.BytesIO(raw) if source == "stream" else write_file(tmp_path, raw)) == series
         assert sum(decoded) == len(raw)
 
+    def test_a_split_read_decodes_each_byte_once(self, monkeypatch, tmp_path):
+        """The first block, decoded to find the header, is parsed here, and
+        the first range starts after it. With one usable CPU the ranges are
+        parsed in this process, where the spy sees them."""
+        series = generate_segmented(SegmentedGeneratorConfig(total_samples=1 << 18, num_sigmas=4, seed=1))
+        raw = series_csv_bytes(series)
+        monkeypatch.setattr(series_module, "usable_cpus", lambda: 1)
+        ranges, planned = [], series_module._ranges
+
+        def spy(*args):
+            ranges.append(planned(*args))
+            return ranges[-1]
+
+        monkeypatch.setattr(series_module, "_ranges", spy)
+        decoded = self.decoded(monkeypatch)
+        assert read_csv(write_file(tmp_path, raw)) == series
+        assert len(ranges[0]) > 1
+        assert sum(decoded) == len(raw) == 5_070_636
+
+
+def header_block(patch, raw: bytes, block_bytes: int | None = None) -> None:
+    """Make a read of ``raw`` take its first block in the bytes of its first
+    line, so that a header line that ends in ``\\n`` ends the block and a
+    split starts after it, and read every later block in ``block_bytes``
+    (None: as usual)."""
+    later = block_bytes or series_module._BLOCK_BYTES
+    ranges = series_module._ranges
+
+    def after_the_first_block(*args):
+        patch.setattr(series_module, "_BLOCK_BYTES", later)
+        return ranges(*args)
+
+    patch.setattr(series_module, "_BLOCK_BYTES", len(raw.splitlines(keepends=True)[0]) if raw else later)
+    patch.setattr(series_module, "_ranges", after_the_first_block)
+
 
 @contextlib.contextmanager
-def in_ranges(range_bytes: int, block_bytes: int | None = None):
+def in_ranges(range_bytes: int, raw: bytes | None, block_bytes: int | None = None):
     """Split a file's data rows into ranges of ``range_bytes``, parsed in
-    this process, and read blocks of ``block_bytes`` (None: as usual);
-    gives the list of the range counts of the reads that split."""
+    this process. A read of ``raw`` takes its first block as
+    ``header_block`` says and later ones of ``block_bytes``; with ``raw``
+    None, every block is as usual. Gives the list of the range counts of
+    the reads that split."""
     splits: list[int] = []
 
     def in_process(fn, items, workers):
@@ -735,8 +778,8 @@ def in_ranges(range_bytes: int, block_bytes: int | None = None):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(series_module, "_RANGE_BYTES", range_bytes)
         patch.setattr(series_module, "ordered_map", in_process)
-        if block_bytes is not None:
-            patch.setattr(series_module, "_BLOCK_BYTES", block_bytes)
+        if raw is not None:
+            header_block(patch, raw, block_bytes)
         yield splits
 
 
@@ -806,7 +849,7 @@ class TestByteRanges:
 
     @pytest.mark.parametrize("raw, count", CUT_CASES)
     def test_cut_cases_split_as_intended(self, raw, count, tmp_path):
-        with in_ranges(range_bytes(raw, count or 3), block_bytes=5) as splits:
+        with in_ranges(range_bytes(raw, count or 3), raw, block_bytes=5) as splits:
             read_path(read_csv, raw, tmp_path / "in.csv")
         assert splits == ([count] if count else [])
 
@@ -815,7 +858,7 @@ class TestByteRanges:
         expected = outcome(reference_read_csv, raw)
         for size in range_sizes(raw):
             for block_bytes in (5, None):
-                with in_ranges(size, block_bytes):
+                with in_ranges(size, raw, block_bytes):
                     assert read_path(read_csv, raw, tmp_path / "in.csv") == expected, size
 
     @pytest.mark.parametrize("raw", DISTRIBUTION_CASES)
@@ -823,7 +866,7 @@ class TestByteRanges:
         whole = distribution_outcome(raw, len(raw) + 1)
         for size in range_sizes(raw):
             for block_bytes in (5, None):
-                with in_ranges(size, block_bytes):
+                with in_ranges(size, raw, block_bytes):
                     got = read_path(read_distribution_csv, raw, tmp_path / "in.csv")
                 assert got == whole, size
 
@@ -841,9 +884,12 @@ class TestByteRanges:
     )
     def test_invalid_utf8_cases(self, raw, message, tmp_path):
         read = read_csv if raw.startswith(b"value") else read_distribution_csv
+        # A late bad byte lies many blocks on: the first block ends at the
+        # header and the rows after it split. An early one lies in the first
+        # block, read as usual, which raises before anything is split.
         late = len(raw) > series_module._BLOCK_BYTES
         for count in (1, 2, 3, 64):
-            with in_ranges(range_bytes(raw, count)) as splits:
+            with in_ranges(range_bytes(raw, count), raw if late else None) as splits:
                 assert read_path(read, raw, tmp_path / "in.csv") == (
                     "error", f"input is not valid UTF-8: {message}"
                 ), count
@@ -871,7 +917,7 @@ class TestByteRanges:
         monkeypatch.setattr(series_module, "_next_cut", spy)
         expected = outcome(reference_read_csv, raw)
         assert expected[0] == "ok"
-        with in_ranges(range_bytes(raw, 64)) as splits:
+        with in_ranges(range_bytes(raw, 64), raw) as splits:
             assert read_path(read_csv, raw, tmp_path / "in.csv") == expected
         assert 2 <= splits[0] < 64
         assert sum(cut - position for position, cut in scanned) <= len(raw)
@@ -884,7 +930,7 @@ class TestByteRanges:
         expected = outcome(reference_read_csv, raw)
         assert expected[0] == "ok"
         for count in (2, 3, 7, 1000):
-            with in_ranges(range_bytes(raw, count)) as splits:
+            with in_ranges(range_bytes(raw, count), raw) as splits:
                 assert read_path(read_csv, raw, tmp_path / "in.csv") == expected
             assert count <= splits[0] <= 1.01 * count
 
@@ -1097,9 +1143,13 @@ class TestPooledParsing:
     than one CPU is usable."""
 
     @staticmethod
-    def split(monkeypatch, cpus: int, range_bytes: int = 1) -> None:
+    def split(monkeypatch, cpus: int, range_bytes: int = 1, raw: bytes = b"value\n", block_bytes=None) -> None:
+        """Split a read of ``raw``, or of a file with its header, after the
+        header (``header_block``) into ranges of ``range_bytes``, on
+        ``cpus`` usable CPUs."""
         monkeypatch.setattr(series_module, "usable_cpus", lambda: cpus)
         monkeypatch.setattr(series_module, "_RANGE_BYTES", range_bytes)
+        header_block(monkeypatch, raw, block_bytes)
 
     @pytest.mark.parametrize("cpus", [1, 3])
     @pytest.mark.parametrize("timed", [False, True])
@@ -1107,7 +1157,7 @@ class TestPooledParsing:
         series = spanning_series(timed, rows=500)
         target = write_file(tmp_path, series_csv_bytes(series))
         pools.clear()  # those of the formatter
-        self.split(monkeypatch, cpus, range_bytes=64)
+        self.split(monkeypatch, cpus, range_bytes=64, raw=target.read_bytes())
         assert read_csv(target) == read_csv(io.BytesIO(target.read_bytes())) == series
         assert pools == ([cpus] if cpus > 1 else [])
 
@@ -1115,7 +1165,7 @@ class TestPooledParsing:
         dist = ProbabilityDistribution(np.arange(201.0) - 7, np.full(200, 1 / 200))
         target = write_file(tmp_path, distribution_csv_bytes(dist))
         pools.clear()  # those of the formatter
-        self.split(monkeypatch, 2, range_bytes=64)
+        self.split(monkeypatch, 2, range_bytes=64, raw=target.read_bytes())
         back = read_distribution_csv(target)
         assert back.masses.tobytes() == read_distribution_csv(io.BytesIO(target.read_bytes())).masses.tobytes()
         assert back.edges.tobytes() == dist.edges.tobytes()
@@ -1126,8 +1176,7 @@ class TestPooledParsing:
         """Row errors come back from the workers, invalid UTF-8 is raised in
         them, and both keep their precedence and row numbers. A bad header
         starts no pool."""
-        self.split(monkeypatch, count or 3, range_bytes(raw, count or 3))
-        monkeypatch.setattr(series_module, "_BLOCK_BYTES", 5)
+        self.split(monkeypatch, count or 3, range_bytes(raw, count or 3), raw=raw, block_bytes=5)
         assert read_path(read_csv, raw, tmp_path / "in.csv") == outcome(reference_read_csv, raw)
         assert pools == ([count] if count else [])
 
@@ -1158,8 +1207,10 @@ class TestPooledParsing:
         assert pools == [3]
 
     def test_two_ranges_worth_of_rows_is_split(self, monkeypatch, pools, tmp_path):
+        """Two ``_RANGE_BYTES`` of rows after the first block, which holds
+        the header and as many whole rows as fit in ``_BLOCK_BYTES``."""
         monkeypatch.setattr(series_module, "usable_cpus", lambda: 64)
-        rows = 2 * series_module._RANGE_BYTES // 4
+        rows = (series_module._BLOCK_BYTES - 6) // 4 + 2 * series_module._RANGE_BYTES // 4
         below = write_file(tmp_path, b"value\n" + b"1.5\n" * (rows - 1))
         assert len(read_csv(below)) == rows - 1
         assert pools == []
@@ -1175,6 +1226,7 @@ class TestPooledParsing:
     def test_one_allowed_cpu_starts_no_pool(self, monkeypatch, tmp_path):
         """The file is still split; its ranges are parsed in this process."""
         monkeypatch.setattr(series_module, "_RANGE_BYTES", 1)
+        header_block(monkeypatch, b"value\n")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         monkeypatch.setattr(series_module, "process_pool", refuse_pool)

@@ -44,3 +44,7 @@ def test_classes_and_long_functions(tmp_path):
     counts, long_functions = size.module_size(source)
     assert counts == {"code": 7 + size.LONG_FUNCTION, "docstring": 3, "comment": 2, "blank": 6}
     assert long_functions == [("sample.C.g", size.LONG_FUNCTION + 1)]
+
+
+def test_no_function_is_long():
+    assert size.report()["long_functions"] == []
